@@ -31,6 +31,7 @@
 //! `collect` would wait forever on a dropped push, so configuration
 //! validation ties `--net-chaos` to `--fault-tolerant`.
 
+use crate::socket::NetEvent;
 use crate::transport::{CommError, Transport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -297,6 +298,10 @@ impl Transport for ChaosTransport {
 
     fn workers(&self) -> usize {
         self.inner.workers()
+    }
+
+    fn drain_net_events(&self) -> Vec<NetEvent> {
+        self.inner.drain_net_events()
     }
 }
 

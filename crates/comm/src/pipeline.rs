@@ -188,29 +188,42 @@ mod tests {
 
     #[test]
     fn bounded_streams_limit_in_flight_chunks() {
-        // With streams = 1 the puller can run at most 2 chunks ahead of the
-        // pusher (one in each channel slot); verify the high-water mark.
-        let pulled = AtomicUsize::new(0);
-        let pushed = AtomicUsize::new(0);
-        let max_gap = AtomicUsize::new(0);
-        run_pipeline(
-            16,
-            1,
-            |_| {
-                let gap = pulled.fetch_add(1, Ordering::SeqCst) + 1 - pushed.load(Ordering::SeqCst);
-                max_gap.fetch_max(gap, Ordering::SeqCst);
-            },
-            |_, _| std::thread::sleep(Duration::from_micros(200)),
-            |_, _| {
-                pushed.fetch_add(1, Ordering::SeqCst);
-            },
-        );
-        // 1 slot in each channel + 1 in each stage = at most 4 in flight.
-        assert!(
-            max_gap.load(Ordering::SeqCst) <= 4,
-            "gap {}",
-            max_gap.load(Ordering::SeqCst)
-        );
+        // `gap` counts chunks whose pull has started but whose push has not
+        // finished. The module bounds each stage boundary's queue at
+        // `streams` chunks, so a chunk in flight is in one of five places:
+        //   - held by the puller (counted once its pull starts): 1;
+        //   - queued in the pull → compute channel: ≤ streams;
+        //   - held by the computer: 1;
+        //   - queued in the compute → push channel: ≤ streams;
+        //   - held by the pusher, not yet counted as pushed: 1.
+        // Hence gap ≤ 3 + 2·streams. The slow compute stage lets the puller
+        // run ahead until both queues fill; unbounded channels would let
+        // the gap grow toward the chunk count.
+        for streams in [1, 2] {
+            let chunks = 32;
+            let pulled = AtomicUsize::new(0);
+            let pushed = AtomicUsize::new(0);
+            let max_gap = AtomicUsize::new(0);
+            run_pipeline(
+                chunks,
+                streams,
+                |_| {
+                    let gap =
+                        pulled.fetch_add(1, Ordering::SeqCst) + 1 - pushed.load(Ordering::SeqCst);
+                    max_gap.fetch_max(gap, Ordering::SeqCst);
+                },
+                |_, _| std::thread::sleep(Duration::from_micros(200)),
+                |_, _| {
+                    pushed.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            let bound = 3 + 2 * streams;
+            let gap = max_gap.load(Ordering::SeqCst);
+            assert!(
+                gap <= bound,
+                "streams {streams}: gap {gap} > {bound} in flight"
+            );
+        }
     }
 
     #[test]

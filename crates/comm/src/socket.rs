@@ -581,13 +581,6 @@ impl CommSocket {
         }
     }
 
-    /// Removes and returns the resilience events accumulated since the
-    /// last drain (the training loop forwards them to telemetry once per
-    /// epoch, keeping the telemetry lanes single-writer).
-    pub fn drain_net_events(&self) -> Vec<NetEvent> {
-        std::mem::take(&mut *self.events.lock())
-    }
-
     fn record_event(&self, ev: NetEvent) {
         self.events.lock().push(ev);
     }
@@ -834,6 +827,10 @@ impl Transport for CommSocket {
 
     fn workers(&self) -> usize {
         self.conns.len()
+    }
+
+    fn drain_net_events(&self) -> Vec<NetEvent> {
+        std::mem::take(&mut *self.events.lock())
     }
 }
 

@@ -14,6 +14,7 @@
 //! {P&Q, Q, half-Q} × {COMM, COMM-P} is expressible.
 
 use crate::buffer::SharedBuffer;
+use crate::socket::NetEvent;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hcc_sgd::fp16;
 use parking_lot::{Mutex, RwLock};
@@ -114,6 +115,13 @@ pub trait Transport: Send + Sync {
     fn wire_bytes_by_dir(&self) -> (u64, u64);
     /// Number of workers this transport serves.
     fn workers(&self) -> usize;
+    /// Removes and returns the resilience events (retries, reconnects)
+    /// accumulated since the last drain. The training loop drains once per
+    /// epoch, which bounds the buffer and keeps the telemetry lanes
+    /// single-writer. Transports without a network link have none.
+    fn drain_net_events(&self) -> Vec<NetEvent> {
+        Vec::new()
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@
 //! actually touched since the last publish.
 
 use hcc_comm::delta::{apply_delta, encode_delta, max_delta_len};
-use hcc_comm::{CommError, Precision, TransferStrategy, Transport};
+use hcc_comm::{CommError, NetEvent, Precision, TransferStrategy, Transport};
 use hcc_partition::ShardRouter;
 use hcc_sync::{Arc, AtomicU64, Ordering, RwLock};
 use std::time::{Duration, Instant};
@@ -369,6 +369,13 @@ impl Transport for ShardedServer {
     fn workers(&self) -> usize {
         self.shards.first().map_or(0, |s| s.workers())
     }
+
+    fn drain_net_events(&self) -> Vec<NetEvent> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.drain_net_events())
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -504,6 +511,59 @@ mod tests {
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, local);
+    }
+
+    /// A shard link that only buffers resilience events.
+    struct EventLink(parking_lot::Mutex<Vec<NetEvent>>);
+
+    impl Transport for EventLink {
+        fn publish(&self, _src: &[f32]) {}
+        fn pull(&self, _worker: usize, _dst: &mut [f32]) {}
+        fn push(&self, _worker: usize, _src: &[f32]) {}
+        fn collect(&self, _worker: usize, _dst: &mut [f32]) {}
+        fn collect_timeout(
+            &self,
+            _worker: usize,
+            _dst: &mut [f32],
+            _timeout: Duration,
+        ) -> Result<(), CommError> {
+            Ok(())
+        }
+        fn wire_bytes(&self) -> u64 {
+            0
+        }
+        fn wire_bytes_by_dir(&self) -> (u64, u64) {
+            (0, 0)
+        }
+        fn workers(&self) -> usize {
+            2
+        }
+        fn drain_net_events(&self) -> Vec<NetEvent> {
+            std::mem::take(&mut *self.0.lock())
+        }
+    }
+
+    #[test]
+    fn sharded_drain_returns_every_inner_event_once() {
+        use hcc_comm::NetEventKind;
+        let event = |worker, attempt| NetEvent {
+            worker,
+            kind: NetEventKind::Reconnect { attempt },
+            delay_us: 10,
+        };
+        let per_shard = [vec![event(0, 1), event(1, 1)], vec![], vec![event(1, 2)]];
+        let router = ShardRouter::uniform(6, per_shard.len());
+        let inners: Vec<Arc<dyn Transport>> = per_shard
+            .iter()
+            .map(|evs| {
+                Arc::new(EventLink(parking_lot::Mutex::new(evs.clone()))) as Arc<dyn Transport>
+            })
+            .collect();
+        let t = ShardedServer::new(router, 2, 12, Precision::Fp32, inners);
+        let drained = t.drain_net_events();
+        let expected: Vec<NetEvent> = per_shard.concat();
+        assert_eq!(drained, expected);
+        assert!(t.drain_net_events().is_empty(), "events drained twice");
     }
 
     #[test]

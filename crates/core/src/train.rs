@@ -181,6 +181,56 @@ fn filter_alive<T: Clone>(items: &[T], alive: &[bool]) -> Vec<T> {
         .collect()
 }
 
+/// Supervised collect of worker `w`'s push: a bounded-timeout ladder with
+/// backoff that gives up early on a dead or partitioned worker. Returns
+/// whether a push arrived in `dst`.
+fn collect_with_deadline(
+    transport: &dyn Transport,
+    sup: &Supervisor,
+    w: usize,
+    dst: &mut [f32],
+    telemetry: &Telemetry,
+    epoch: u32,
+    worker_id: u32,
+) -> bool {
+    // Jitter-free `Backoff` reproduces the historical
+    // `timeout → timeout·factor → …` ladder bit-for-bit.
+    let mut ladder = Backoff::new(sup.cfg.heartbeat_timeout, sup.cfg.retry_backoff.max(1.0));
+    for _attempt in 0..sup.cfg.collect_retries.max(1) {
+        if sup.board.is_dead(w) {
+            return false;
+        }
+        let timeout = ladder.next_delay();
+        match transport.collect_timeout(w, dst, timeout) {
+            Ok(()) => return true,
+            // A corrupt frame degrades to a dropped one: wait out the next
+            // ladder step in case a retransmit (or a slow worker) still
+            // delivers a clean push.
+            Err(err @ (CommError::Timeout | CommError::Corrupt)) => {
+                telemetry.record(
+                    telemetry.server_lane(),
+                    Event::NetRetry {
+                        epoch,
+                        worker: worker_id,
+                        cause: net_cause(err),
+                        delay_us: timeout.as_micros() as u64,
+                        bytes: 0,
+                    },
+                );
+            }
+            Err(CommError::Disconnected) => return false,
+            // A partitioned worker keeps computing and beating its
+            // heartbeat, so classification alone would call it a straggler
+            // forever; declare the link dead so the survivors re-plan.
+            Err(CommError::PartitionedLink) => {
+                sup.board.mark_dead(w);
+                return false;
+            }
+        }
+    }
+    false
+}
+
 /// Result of one executed (not yet accepted) epoch.
 struct EpochOutcome {
     stats: Vec<WorkerEpochStats>,
@@ -207,12 +257,14 @@ struct Session<'a> {
     orig_ids: Vec<usize>,
     workers: Vec<WorkerState>,
     layout: RegionLayout,
-    transport: TransportArc,
-    /// Deterministic network-chaos wrapper around `transport`, built when
-    /// `config.net_chaos` is set. The epoch loop routes pull/push/collect
-    /// through it via [`active_transport`](Session::active_transport);
-    /// wire-byte accounting keeps reading the inner transport directly.
-    net_chaos: Option<Arc<ChaosTransport>>,
+    /// The server↔worker transport, inside the deterministic
+    /// network-chaos wrapper when `config.net_chaos` is set (the wrapper
+    /// forwards wire-byte accounting and net events to the inner one).
+    transport: Arc<dyn Transport>,
+    /// The shared COMM again, as the concrete type whose ranged operations
+    /// Strategy 3 needs. Set exactly when `streams > 1`, which `train()`
+    /// admits only on the shared transport.
+    pipelined: Option<Arc<CommShared>>,
     // Fault tolerance.
     supervisor: Option<Supervisor>,
     /// Last-good `(P, Q)` for divergence rollback.
@@ -234,48 +286,6 @@ struct Session<'a> {
     /// worker id plus the server lane, so a shrinking fleet keeps stable
     /// attribution via `orig_ids`.
     telemetry: Telemetry,
-}
-
-/// Transport handle: the async path needs the concrete `CommShared` for
-/// ranged/chunked operations; the sync path only the trait. The socket
-/// variant is additionally queried for its resilience counters/events, and
-/// the sharded variant for its delta-shipping accounting.
-enum TransportArc {
-    Shared(Arc<CommShared>),
-    CommP(Arc<CommP>),
-    Socket(Arc<CommSocket>),
-    Sharded(Arc<ShardedServer>),
-}
-
-impl TransportArc {
-    fn as_dyn(&self) -> &dyn Transport {
-        match self {
-            TransportArc::Shared(t) => t.as_ref(),
-            TransportArc::CommP(t) => t.as_ref(),
-            TransportArc::Socket(t) => t.as_ref(),
-            TransportArc::Sharded(t) => t.as_ref(),
-        }
-    }
-
-    fn as_dyn_arc(&self) -> Arc<dyn Transport> {
-        match self {
-            TransportArc::Shared(t) => Arc::clone(t) as Arc<dyn Transport>,
-            TransportArc::CommP(t) => Arc::clone(t) as Arc<dyn Transport>,
-            TransportArc::Socket(t) => Arc::clone(t) as Arc<dyn Transport>,
-            TransportArc::Sharded(t) => Arc::clone(t) as Arc<dyn Transport>,
-        }
-    }
-
-    fn socket(&self) -> Option<&CommSocket> {
-        match self {
-            TransportArc::Socket(t) => Some(t.as_ref()),
-            _ => None,
-        }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        self.as_dyn().wire_bytes()
-    }
 }
 
 impl<'a> Session<'a> {
@@ -358,8 +368,8 @@ impl<'a> Session<'a> {
             lr_scale: 1.0,
             health_history: Vec::new(),
             layout: region_layout(config.strategy, m, n, k, m),
-            transport: TransportArc::Shared(Arc::new(CommShared::new(1, 1, 1, Precision::Fp32))),
-            net_chaos: None,
+            transport: Arc::new(CommShared::new(1, 1, 1, Precision::Fp32)),
+            pipelined: None,
             rmse_history: Vec::new(),
             epoch_times: Vec::new(),
             worker_stats: Vec::new(),
@@ -376,15 +386,6 @@ impl<'a> Session<'a> {
         };
         session.rebuild_workers(fractions)?;
         Ok(session)
-    }
-
-    /// The transport the epoch loop should use: the chaos wrapper when
-    /// network-fault injection is configured, the bare transport otherwise.
-    fn active_transport(&self) -> &dyn Transport {
-        match &self.net_chaos {
-            Some(chaos) => chaos.as_ref(),
-            None => self.transport.as_dyn(),
-        }
     }
 
     /// (Re)builds worker states and the transport for a partition vector.
@@ -446,7 +447,7 @@ impl<'a> Session<'a> {
         } else {
             Precision::Fp32
         };
-        self.transport = if self.config.server_shards > 1 {
+        let transport: Arc<dyn Transport> = if self.config.server_shards > 1 {
             // Node-sharded parameter server: the synchronized region is
             // tiled by contiguous row range across N shard endpoints of
             // the configured transport kind. The sharded wire is always
@@ -486,25 +487,27 @@ impl<'a> Session<'a> {
                 };
                 inners.push(inner);
             }
-            TransportArc::Sharded(Arc::new(ShardedServer::new(
+            Arc::new(ShardedServer::new(
                 router,
                 k,
                 self.layout.pull_len,
                 Precision::Fp32,
                 inners,
-            )))
+            ))
         } else {
             match self.config.transport {
-                TransportKind::Shared => TransportArc::Shared(Arc::new(CommShared::new(
-                    workers.len(),
-                    self.layout.pull_len,
-                    self.layout.push_len,
-                    precision,
-                ))),
-                TransportKind::CommP => {
-                    TransportArc::CommP(Arc::new(CommP::new(workers.len(), precision)))
+                TransportKind::Shared => {
+                    let comm = Arc::new(CommShared::new(
+                        workers.len(),
+                        self.layout.pull_len,
+                        self.layout.push_len,
+                        precision,
+                    ));
+                    self.pipelined = (self.config.streams > 1).then(|| Arc::clone(&comm));
+                    comm
                 }
-                TransportKind::Socket => TransportArc::Socket(Arc::new(
+                TransportKind::CommP => Arc::new(CommP::new(workers.len(), precision)),
+                TransportKind::Socket => Arc::new(
                     CommSocket::new(
                         workers.len(),
                         self.layout.pull_len,
@@ -512,8 +515,8 @@ impl<'a> Session<'a> {
                         precision,
                     )
                     .map_err(|e| HccError::Comm(format!("binding socket transport: {e}")))?,
-                )),
-                TransportKind::Tcp => TransportArc::Socket(Arc::new(
+                ),
+                TransportKind::Tcp => Arc::new(
                     CommSocket::new_tcp(
                         workers.len(),
                         self.layout.pull_len,
@@ -521,26 +524,29 @@ impl<'a> Session<'a> {
                         precision,
                     )
                     .map_err(|e| HccError::Comm(format!("binding tcp transport: {e}")))?,
-                )),
+                ),
             }
         };
-        self.net_chaos = self.config.net_chaos.as_ref().map(|plan| {
-            // The plan addresses workers by *starting-fleet* id; remap its
-            // partition to the current fleet index, dropping it once that
-            // worker has been removed (its link is already gone).
-            let mut plan = plan.clone();
-            if let Some(part) = plan.partition {
-                plan.partition = self
-                    .orig_ids
-                    .iter()
-                    .position(|&id| id == part.worker)
-                    .map(|w| hcc_comm::Partition {
-                        worker: w,
-                        from_epoch: part.from_epoch,
-                    });
+        self.transport = match &self.config.net_chaos {
+            None => transport,
+            Some(plan) => {
+                // The plan addresses workers by *starting-fleet* id; remap its
+                // partition to the current fleet index, dropping it once that
+                // worker has been removed (its link is already gone).
+                let mut plan = plan.clone();
+                if let Some(part) = plan.partition {
+                    plan.partition =
+                        self.orig_ids
+                            .iter()
+                            .position(|&id| id == part.worker)
+                            .map(|w| hcc_comm::Partition {
+                                worker: w,
+                                from_epoch: part.from_epoch,
+                            });
+                }
+                Arc::new(ChaosTransport::new(transport, plan))
             }
-            Arc::new(ChaosTransport::new(self.transport.as_dyn_arc(), plan))
-        });
+        };
         self.workers = workers;
         self.fractions = fractions;
         Ok(())
@@ -593,35 +599,21 @@ impl<'a> Session<'a> {
             let lr = (f64::from(self.config.learning_rate.at(epoch)) * self.lr_scale) as f32;
             // Wire-byte baseline for this attempt (counters reset whenever
             // the transport is rebuilt, e.g. on rollback or repartition).
-            let wire_base = self.transport.as_dyn().wire_bytes_by_dir();
+            let wire_base = self.transport.wire_bytes_by_dir();
             let epoch_start = Instant::now();
-            let outcome = if self.supervisor.is_some() {
-                self.run_epoch_supervised(lr, epoch)
-            } else {
-                // Unsupervised path: a worker panic would otherwise abort
-                // the process at the scope join — surface it typed instead.
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if self.config.streams > 1 {
-                        self.run_epoch_async(lr, epoch)
-                    } else {
-                        self.run_epoch_sync(lr, epoch)
-                    }
-                }));
-                match caught {
-                    Ok((stats, sync_time)) => {
-                        let missed = vec![false; stats.len()];
-                        EpochOutcome {
-                            stats,
-                            sync_time,
-                            missed,
-                        }
-                    }
-                    Err(payload) => {
-                        return Err(HccError::WorkerLost(format!(
-                            "worker thread panicked during epoch {epoch}: {}",
-                            panic_message(payload.as_ref())
-                        )))
-                    }
+            // An unsupervised worker panic would otherwise abort the process
+            // at the scope join: surface it typed instead.
+            let caught = catch_unwind(AssertUnwindSafe(|| match self.pipelined.clone() {
+                Some(comm) => self.run_epoch_async(&comm, lr, epoch),
+                None => self.run_epoch_lockstep(lr, epoch),
+            }));
+            let outcome = match caught {
+                Ok(outcome) => outcome,
+                Err(payload) => {
+                    return Err(HccError::WorkerLost(format!(
+                        "worker thread panicked during epoch {epoch}: {}",
+                        panic_message(payload.as_ref())
+                    )))
                 }
             };
             let elapsed = epoch_start.elapsed();
@@ -631,46 +623,43 @@ impl<'a> Session<'a> {
             let mut loss = None;
             if self.supervisor.is_some() {
                 let l = self.evaluate();
-                let sup = self.supervisor.as_mut().expect("supervised");
-                if sup.is_diverged(l) {
-                    match sup.rollback() {
-                        Some(scale) => {
-                            self.lr_scale = scale;
-                            self.telemetry.record(
-                                self.telemetry.server_lane(),
-                                Event::Rollback {
-                                    epoch: epoch as u32,
-                                    lr_scale: scale,
-                                },
-                            );
-                            let (p, q) = self
-                                .snapshot
-                                .clone()
-                                .expect("snapshot precedes first epoch");
-                            self.global_p = p;
-                            self.global_q = q;
-                            // Clear first: the diverged local factors must
-                            // not be flushed over the restored snapshot.
-                            self.workers.clear();
-                            self.rebuild_workers(self.fractions.clone())?;
-                            continue; // retry the same epoch at reduced LR
-                        }
-                        None => {
+                if let Some(sup) = self.supervisor.as_mut() {
+                    if sup.is_diverged(l) {
+                        let Some(scale) = sup.rollback() else {
                             return Err(HccError::Diverged {
                                 epoch,
                                 rollbacks: sup.rollbacks_used() as usize,
-                            })
-                        }
+                            });
+                        };
+                        self.lr_scale = scale;
+                        self.telemetry.record(
+                            self.telemetry.server_lane(),
+                            Event::Rollback {
+                                epoch: epoch as u32,
+                                lr_scale: scale,
+                            },
+                        );
+                        let (p, q) = self
+                            .snapshot
+                            .clone()
+                            .expect("snapshot precedes first epoch");
+                        self.global_p = p;
+                        self.global_q = q;
+                        // Clear first: the diverged local factors must
+                        // not be flushed over the restored snapshot.
+                        self.workers.clear();
+                        self.rebuild_workers(self.fractions.clone())?;
+                        continue; // retry the same epoch at reduced LR
                     }
+                    sup.accept(l);
                 }
-                sup.accept(l);
                 loss = Some(l);
             }
 
             // The epoch is accepted: record it.
             if self.telemetry.is_enabled() {
                 let lane = self.telemetry.server_lane();
-                let (pull_now, push_now) = self.transport.as_dyn().wire_bytes_by_dir();
+                let (pull_now, push_now) = self.transport.wire_bytes_by_dir();
                 self.telemetry.bytes(
                     epoch as u32,
                     Dir::Pull,
@@ -689,32 +678,30 @@ impl<'a> Session<'a> {
                     },
                 );
             }
-            // Drain the socket transport's resilience events every epoch
-            // (bounding their buffer) and attribute them to this epoch on
-            // the server lane via the workers' starting-fleet ids.
-            if let Some(socket) = self.transport.socket() {
-                let events = socket.drain_net_events();
-                if self.telemetry.is_enabled() {
-                    let lane = self.telemetry.server_lane();
-                    for ev in events {
-                        let worker = self.orig_ids.get(ev.worker).copied().unwrap_or(ev.worker);
-                        let event = match ev.kind {
-                            NetEventKind::Retry { cause, bytes } => Event::NetRetry {
-                                epoch: epoch as u32,
-                                worker: worker as u32,
-                                cause: net_cause(cause),
-                                delay_us: ev.delay_us,
-                                bytes,
-                            },
-                            NetEventKind::Reconnect { attempt } => Event::Reconnect {
-                                epoch: epoch as u32,
-                                worker: worker as u32,
-                                attempt,
-                                delay_us: ev.delay_us,
-                            },
-                        };
-                        self.telemetry.record(lane, event);
-                    }
+            // Drain the transport's resilience events every epoch (bounding
+            // their buffer) and attribute them to this epoch on the server
+            // lane via the workers' starting-fleet ids.
+            let events = self.transport.drain_net_events();
+            if self.telemetry.is_enabled() {
+                let lane = self.telemetry.server_lane();
+                for ev in events {
+                    let worker = self.orig_ids.get(ev.worker).copied().unwrap_or(ev.worker);
+                    let event = match ev.kind {
+                        NetEventKind::Retry { cause, bytes } => Event::NetRetry {
+                            epoch: epoch as u32,
+                            worker: worker as u32,
+                            cause: net_cause(cause),
+                            delay_us: ev.delay_us,
+                            bytes,
+                        },
+                        NetEventKind::Reconnect { attempt } => Event::Reconnect {
+                            epoch: epoch as u32,
+                            worker: worker as u32,
+                            attempt,
+                            delay_us: ev.delay_us,
+                        },
+                    };
+                    self.telemetry.record(lane, event);
                 }
             }
             self.epoch_times.push(elapsed);
@@ -787,7 +774,9 @@ impl<'a> Session<'a> {
             .iter()
             .map(|s| s.compute.as_secs_f64())
             .collect();
-        let sup = self.supervisor.as_ref().expect("supervised");
+        let Some(sup) = self.supervisor.as_ref() else {
+            return Ok(());
+        };
         let beat: Vec<bool> = (0..self.workers.len())
             .map(|w| sup.board.has_beat(w, epoch))
             .collect();
@@ -838,176 +827,31 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// Synchronous epoch: publish, parallel worker pull/compute/push, server
-    /// collect+merge (overlapped with still-running workers).
-    fn run_epoch_sync(&mut self, lr: f32, epoch: usize) -> (Vec<WorkerEpochStats>, Duration) {
+    /// Synchronous epoch (Fig. 4): publish, parallel worker
+    /// pull/compute/push, then a server collect+merge that overlaps the
+    /// still-running workers (the DP2 hiding effect).
+    ///
+    /// The collect policy follows `self.supervisor`. Off: one blocking
+    /// collect per worker, and every push is merged as it arrives. On:
+    /// heartbeats, per-worker panic capture, deterministic fault injection,
+    /// bounded-timeout collects with backoff, and a non-finite integrity
+    /// scan. Missing or poisoned pushes are left out of the merge and the
+    /// remaining weights renormalized; when every push is lost the previous
+    /// global `Q` is kept. When no fault fires, both policies merge the same
+    /// pushes in the same order, so their factors are bit-identical.
+    fn run_epoch_lockstep(&mut self, lr: f32, epoch: usize) -> EpochOutcome {
         let k = self.k;
         let n = self.n;
         let layout = self.layout;
         let strategy = self.config.strategy;
-        let transport = self.active_transport();
+        let transport = self.transport.as_ref();
         let telemetry = &self.telemetry;
         let epoch_u32 = epoch as u32;
-        let orig_ids = &self.orig_ids;
-
-        // Publish: [P | Q] under FullPq, [Q] otherwise.
-        let mut pull_staging = vec![0f32; layout.pull_len];
-        if strategy == TransferStrategy::FullPq {
-            pull_staging[..self.m * k].copy_from_slice(self.global_p.as_slice());
-        }
-        pull_staging[layout.pull_q_offset..layout.pull_q_offset + n * k]
-            .copy_from_slice(&self.global_q);
-        transport.publish(&pull_staging);
-
-        let weights = merge_weights(
-            &self
-                .workers
-                .iter()
-                .map(|w| w.entries.len())
-                .collect::<Vec<_>>(),
-        );
-        let lambda_p = self.config.lambda_p;
-        let lambda_q = self.config.lambda_q;
-
-        let stats: Mutex<Vec<WorkerEpochStats>> =
-            Mutex::new(vec![WorkerEpochStats::default(); self.workers.len()]);
-        let mut q_acc = vec![0f32; n * k];
-        let mut p_updates: Vec<(usize, Vec<f32>)> = Vec::new();
-        let mut sync_time = Duration::ZERO;
-
-        std::thread::scope(|scope| {
-            for (w, state) in self.workers.iter().enumerate() {
-                let stats = &stats;
-                scope.spawn(move || {
-                    let lane = orig_ids[w] as u32;
-                    // Fresh scoped thread each epoch: the previous epoch's
-                    // scope join orders this writer after the last one.
-                    telemetry.adopt_lane(lane);
-                    let mut staging = vec![0f32; layout.pull_len.max(layout.push_len)];
-
-                    // Pull.
-                    let start = telemetry.now_us();
-                    let t0 = Instant::now();
-                    transport.pull(w, &mut staging[..layout.pull_len]);
-                    state.local_q.copy_rows_from_slice(
-                        0,
-                        n,
-                        &staging[layout.pull_q_offset..layout.pull_q_offset + n * k],
-                    );
-                    if strategy == TransferStrategy::FullPq && state.rows() > 0 {
-                        let lo = state.row_range.start as usize;
-                        state.local_p.copy_rows_from_slice(
-                            0,
-                            state.rows(),
-                            &staging[lo * k..(lo + state.rows()) * k],
-                        );
-                    }
-                    let pull = t0.elapsed();
-                    telemetry.phase(lane, epoch_u32, lane, Phase::Pull, start, pull);
-
-                    // Compute.
-                    let start = telemetry.now_us();
-                    let compute = state.compute(&state.entries, lr, lambda_p, lambda_q);
-                    telemetry.phase(lane, epoch_u32, lane, Phase::Comp, start, compute);
-
-                    // Push.
-                    let start = telemetry.now_us();
-                    let t0 = Instant::now();
-                    let rows = state.rows();
-                    let push_len = if strategy == TransferStrategy::FullPq {
-                        let p_rows = state.local_p.snapshot_rows(0, rows);
-                        staging[..rows * k].copy_from_slice(&p_rows);
-                        let q = state.local_q.snapshot_rows(0, n);
-                        staging[layout.push_q_offset..layout.push_q_offset + n * k]
-                            .copy_from_slice(&q);
-                        layout.push_q_offset + n * k
-                    } else {
-                        let q = state.local_q.snapshot_rows(0, n);
-                        staging[..n * k].copy_from_slice(&q);
-                        n * k
-                    };
-                    transport.push(w, &staging[..push_len]);
-                    let push = t0.elapsed();
-                    telemetry.phase(lane, epoch_u32, lane, Phase::Push, start, push);
-
-                    stats.lock()[w] = WorkerEpochStats {
-                        pull,
-                        compute,
-                        push,
-                        updates: state.entries.len() as u64,
-                    };
-                });
-            }
-
-            // Server: collect and merge on this thread, overlapping the
-            // remaining workers' computation (the DP2 hiding effect).
-            let server_lane = telemetry.server_lane();
-            let mut collect_staging = vec![0f32; layout.push_len];
-            #[allow(clippy::needless_range_loop)] // w indexes three arrays
-            for w in 0..self.workers.len() {
-                transport.collect(w, &mut collect_staging[..layout.push_len]);
-                let start = telemetry.now_us();
-                let t0 = Instant::now();
-                merge_weighted(
-                    &mut q_acc,
-                    &collect_staging[layout.push_q_offset..layout.push_q_offset + n * k],
-                    weights[w],
-                );
-                if strategy == TransferStrategy::FullPq {
-                    let rows = self.workers[w].rows();
-                    p_updates.push((w, collect_staging[..rows * k].to_vec()));
-                }
-                let merged = t0.elapsed();
-                sync_time += merged;
-                // Sync spans live on the server lane but carry the merged
-                // worker's id, so per-worker epoch sums include their share.
-                telemetry.phase(
-                    server_lane,
-                    epoch_u32,
-                    orig_ids[w] as u32,
-                    Phase::Sync,
-                    start,
-                    merged,
-                );
-            }
-        });
-
-        self.global_q.copy_from_slice(&q_acc);
-        for (w, p_rows) in p_updates {
-            let lo = self.workers[w].row_range.start as usize;
-            let rows = self.workers[w].rows();
-            for r in 0..rows {
-                self.global_p
-                    .row_mut(lo + r)
-                    .copy_from_slice(&p_rows[r * k..(r + 1) * k]);
-            }
-        }
-        (stats.into_inner(), sync_time)
-    }
-
-    /// Supervised synchronous epoch: [`run_epoch_sync`](Self::run_epoch_sync)
-    /// plus heartbeats, per-worker panic capture, deterministic fault
-    /// injection, bounded-timeout collects with backoff, and push integrity
-    /// checks. Missing or poisoned pushes are excluded from the merge and
-    /// the remaining weights renormalized; when every push is lost the
-    /// previous global `Q` is kept. Bit-identical to the plain sync epoch
-    /// when no fault fires.
-    fn run_epoch_supervised(&mut self, lr: f32, epoch: usize) -> EpochOutcome {
-        let k = self.k;
-        let n = self.n;
-        let layout = self.layout;
-        let strategy = self.config.strategy;
-        let transport = self.active_transport();
-        let telemetry = &self.telemetry;
-        let epoch_u32 = epoch as u32;
-        let sup = self.supervisor.as_ref().expect("supervised");
-        let board = &sup.board;
-        let timeout0 = sup.cfg.heartbeat_timeout;
-        let retries = sup.cfg.collect_retries.max(1);
-        let backoff = sup.cfg.retry_backoff.max(1.0);
+        let sup = self.supervisor.as_ref();
         let plan = self.config.fault_plan.as_ref();
         let orig_ids = &self.orig_ids;
 
+        // Publish: [P | Q] under FullPq, [Q] otherwise.
         let mut pull_staging = vec![0f32; layout.pull_len];
         if strategy == TransferStrategy::FullPq {
             pull_staging[..self.m * k].copy_from_slice(self.global_p.as_slice());
@@ -1038,141 +882,121 @@ impl<'a> Session<'a> {
             for (w, state) in self.workers.iter().enumerate() {
                 let stats = &stats;
                 scope.spawn(move || {
-                    let body =
-                        || {
-                            let fault = plan.and_then(|p| p.at(orig_ids[w], epoch));
-                            if fault == Some(FaultKind::Crash) {
-                                return None; // no heartbeat, no push: dead
-                            }
-                            let lane = orig_ids[w] as u32;
-                            // Writer handoff (see the stripe path above).
-                            telemetry.adopt_lane(lane);
-                            let mut staging = vec![0f32; layout.pull_len.max(layout.push_len)];
+                    let body = || {
+                        let fault = plan.and_then(|p| p.at(orig_ids[w], epoch));
+                        if fault == Some(FaultKind::Crash) {
+                            return None; // no heartbeat, no push: dead
+                        }
+                        let lane = orig_ids[w] as u32;
+                        // Fresh scoped thread each epoch: the previous epoch's
+                        // scope join orders this writer after the last one.
+                        telemetry.adopt_lane(lane);
+                        let mut staging = vec![0f32; layout.pull_len.max(layout.push_len)];
 
-                            // Pull.
-                            let start = telemetry.now_us();
-                            let t0 = Instant::now();
-                            transport.pull(w, &mut staging[..layout.pull_len]);
-                            state.local_q.copy_rows_from_slice(
+                        // Pull.
+                        let start = telemetry.now_us();
+                        let t0 = Instant::now();
+                        transport.pull(w, &mut staging[..layout.pull_len]);
+                        state.local_q.copy_rows_from_slice(
+                            0,
+                            n,
+                            &staging[layout.pull_q_offset..layout.pull_q_offset + n * k],
+                        );
+                        if strategy == TransferStrategy::FullPq && state.rows() > 0 {
+                            let lo = state.row_range.start as usize;
+                            state.local_p.copy_rows_from_slice(
                                 0,
-                                n,
-                                &staging[layout.pull_q_offset..layout.pull_q_offset + n * k],
+                                state.rows(),
+                                &staging[lo * k..(lo + state.rows()) * k],
                             );
-                            if strategy == TransferStrategy::FullPq && state.rows() > 0 {
-                                let lo = state.row_range.start as usize;
-                                state.local_p.copy_rows_from_slice(
-                                    0,
-                                    state.rows(),
-                                    &staging[lo * k..(lo + state.rows()) * k],
-                                );
-                            }
-                            let pull = t0.elapsed();
-                            telemetry.phase(lane, epoch_u32, lane, Phase::Pull, start, pull);
+                        }
+                        let pull = t0.elapsed();
+                        telemetry.phase(lane, epoch_u32, lane, Phase::Pull, start, pull);
 
-                            // Compute (an injected stall counts as compute time,
-                            // so the supervisor's straggler rule sees it).
-                            let start = telemetry.now_us();
-                            let t0 = Instant::now();
-                            if let Some(FaultKind::Stall { millis }) = fault {
-                                std::thread::sleep(Duration::from_millis(millis));
-                            }
-                            state.compute(&state.entries, lr, lambda_p, lambda_q);
-                            let compute = t0.elapsed();
-                            telemetry.phase(lane, epoch_u32, lane, Phase::Comp, start, compute);
-                            board.beat(w, epoch);
+                        // Compute (an injected stall counts as compute time,
+                        // so the supervisor's straggler rule sees it).
+                        let start = telemetry.now_us();
+                        let t0 = Instant::now();
+                        if let Some(FaultKind::Stall { millis }) = fault {
+                            std::thread::sleep(Duration::from_millis(millis));
+                        }
+                        state.compute(&state.entries, lr, lambda_p, lambda_q);
+                        let compute = t0.elapsed();
+                        telemetry.phase(lane, epoch_u32, lane, Phase::Comp, start, compute);
+                        if let Some(sup) = sup {
+                            sup.board.beat(w, epoch);
+                        }
 
-                            // Push.
-                            let start = telemetry.now_us();
-                            let t0 = Instant::now();
-                            let rows = state.rows();
-                            let push_len = if strategy == TransferStrategy::FullPq {
-                                let p_rows = state.local_p.snapshot_rows(0, rows);
-                                staging[..rows * k].copy_from_slice(&p_rows);
-                                let q = state.local_q.snapshot_rows(0, n);
-                                staging[layout.push_q_offset..layout.push_q_offset + n * k]
-                                    .copy_from_slice(&q);
-                                layout.push_q_offset + n * k
-                            } else {
-                                let q = state.local_q.snapshot_rows(0, n);
-                                staging[..n * k].copy_from_slice(&q);
-                                n * k
-                            };
-                            if fault == Some(FaultKind::CorruptPush) {
-                                let positions = plan
-                                    .expect("fault implies plan")
-                                    .corrupt_positions(orig_ids[w], epoch, push_len);
-                                state.poison_push(&mut staging[..push_len], &positions);
-                            }
-                            if fault != Some(FaultKind::DropPush) {
-                                transport.push(w, &staging[..push_len]);
-                            }
-                            let push = t0.elapsed();
-                            telemetry.phase(lane, epoch_u32, lane, Phase::Push, start, push);
-
-                            Some(WorkerEpochStats {
-                                pull,
-                                compute,
-                                push,
-                                updates: state.entries.len() as u64,
-                            })
+                        // Push.
+                        let start = telemetry.now_us();
+                        let t0 = Instant::now();
+                        let rows = state.rows();
+                        let push_len = if strategy == TransferStrategy::FullPq {
+                            let p_rows = state.local_p.snapshot_rows(0, rows);
+                            staging[..rows * k].copy_from_slice(&p_rows);
+                            let q = state.local_q.snapshot_rows(0, n);
+                            staging[layout.push_q_offset..layout.push_q_offset + n * k]
+                                .copy_from_slice(&q);
+                            layout.push_q_offset + n * k
+                        } else {
+                            let q = state.local_q.snapshot_rows(0, n);
+                            staging[..n * k].copy_from_slice(&q);
+                            n * k
                         };
-                    match catch_unwind(AssertUnwindSafe(body)) {
-                        Ok(Some(s)) => stats.lock()[w] = s,
-                        Ok(None) | Err(_) => board.mark_dead(w),
+                        if let (Some(FaultKind::CorruptPush), Some(plan)) = (fault, plan) {
+                            let positions = plan.corrupt_positions(orig_ids[w], epoch, push_len);
+                            state.poison_push(&mut staging[..push_len], &positions);
+                        }
+                        if fault != Some(FaultKind::DropPush) {
+                            transport.push(w, &staging[..push_len]);
+                        }
+                        let push = t0.elapsed();
+                        telemetry.phase(lane, epoch_u32, lane, Phase::Push, start, push);
+
+                        Some(WorkerEpochStats {
+                            pull,
+                            compute,
+                            push,
+                            updates: state.entries.len() as u64,
+                        })
+                    };
+                    match sup {
+                        // A crashed or panicking worker is marked dead, so
+                        // the server stops waiting for it.
+                        Some(sup) => match catch_unwind(AssertUnwindSafe(body)) {
+                            Ok(Some(s)) => stats.lock()[w] = s,
+                            Ok(None) | Err(_) => sup.board.mark_dead(w),
+                        },
+                        // Unsupervised, a panic leaves the scope and run()
+                        // reports it as a typed error.
+                        None => {
+                            if let Some(s) = body() {
+                                stats.lock()[w] = s;
+                            }
+                        }
                     }
                 });
             }
 
-            // Server: bounded-timeout collect per worker with backoff;
-            // missing or non-finite pushes are skipped and flagged.
             let server_lane = telemetry.server_lane();
             let mut collect_staging = vec![0f32; layout.push_len];
             #[allow(clippy::needless_range_loop)] // w indexes several arrays
             for w in 0..self.workers.len() {
-                // Jitter-free `Backoff` reproduces the historical
-                // `timeout → timeout·factor → …` ladder bit-for-bit.
-                let mut ladder = Backoff::new(timeout0, backoff);
-                let mut got = false;
-                for _attempt in 0..retries {
-                    if board.is_dead(w) {
-                        break;
+                let got = match sup {
+                    None => {
+                        transport.collect(w, &mut collect_staging);
+                        true
                     }
-                    let timeout = ladder.next_delay();
-                    match transport.collect_timeout(
+                    Some(sup) => collect_with_deadline(
+                        transport,
+                        sup,
                         w,
-                        &mut collect_staging[..layout.push_len],
-                        timeout,
-                    ) {
-                        Ok(()) => {
-                            got = true;
-                            break;
-                        }
-                        // A corrupt frame degrades to a dropped one: wait
-                        // out the next ladder step in case a retransmit
-                        // (or a slow worker) still delivers a clean push.
-                        Err(err @ (CommError::Timeout | CommError::Corrupt)) => {
-                            telemetry.record(
-                                server_lane,
-                                Event::NetRetry {
-                                    epoch: epoch_u32,
-                                    worker: orig_ids[w] as u32,
-                                    cause: net_cause(err),
-                                    delay_us: timeout.as_micros() as u64,
-                                    bytes: 0,
-                                },
-                            );
-                        }
-                        Err(CommError::Disconnected) => break,
-                        // A partitioned worker keeps computing and beating
-                        // its heartbeat, so classification alone would call
-                        // it a straggler forever; declare the link dead so
-                        // the survivors re-plan.
-                        Err(CommError::PartitionedLink) => {
-                            board.mark_dead(w);
-                            break;
-                        }
-                    }
-                }
+                        &mut collect_staging,
+                        telemetry,
+                        epoch_u32,
+                        orig_ids[w] as u32,
+                    ),
+                };
                 if !got {
                     missed[w] = true;
                     continue;
@@ -1180,28 +1004,20 @@ impl<'a> Session<'a> {
                 let start = telemetry.now_us();
                 let t0 = Instant::now();
                 let q_part = &collect_staging[layout.push_q_offset..layout.push_q_offset + n * k];
-                if q_part.iter().any(|v| !v.is_finite()) {
+                if sup.is_some() && q_part.iter().any(|v| !v.is_finite()) {
                     missed[w] = true; // poisoned push: discard the shard
-                    let merged = t0.elapsed();
-                    sync_time += merged;
-                    telemetry.phase(
-                        server_lane,
-                        epoch_u32,
-                        orig_ids[w] as u32,
-                        Phase::Sync,
-                        start,
-                        merged,
-                    );
-                    continue;
-                }
-                merge_weighted(&mut q_acc, q_part, weights[w]);
-                accepted_weight += weights[w];
-                if strategy == TransferStrategy::FullPq {
-                    let rows = self.workers[w].rows();
-                    p_updates.push((w, collect_staging[..rows * k].to_vec()));
+                } else {
+                    merge_weighted(&mut q_acc, q_part, weights[w]);
+                    accepted_weight += weights[w];
+                    if strategy == TransferStrategy::FullPq {
+                        let rows = self.workers[w].rows();
+                        p_updates.push((w, collect_staging[..rows * k].to_vec()));
+                    }
                 }
                 let merged = t0.elapsed();
                 sync_time += merged;
+                // Sync spans live on the server lane but carry the merged
+                // worker's id, so per-worker epoch sums include their share.
                 telemetry.phase(
                     server_lane,
                     epoch_u32,
@@ -1243,13 +1059,7 @@ impl<'a> Session<'a> {
     /// Asynchronous epoch (Strategy 3): each worker pipelines
     /// `pull(s) → compute(s) → push(s)` over column chunks of `Q`; the
     /// server merges chunks as they arrive.
-    fn run_epoch_async(&mut self, lr: f32, epoch: usize) -> (Vec<WorkerEpochStats>, Duration) {
-        let comm = match &self.transport {
-            TransportArc::Shared(c) => Arc::clone(c),
-            TransportArc::CommP(_) | TransportArc::Socket(_) | TransportArc::Sharded(_) => {
-                unreachable!("validated in train()")
-            }
-        };
+    fn run_epoch_async(&mut self, comm: &CommShared, lr: f32, epoch: usize) -> EpochOutcome {
         let telemetry = &self.telemetry;
         let epoch_u32 = epoch as u32;
         let orig_ids = &self.orig_ids;
@@ -1277,11 +1087,10 @@ impl<'a> Session<'a> {
 
         std::thread::scope(|scope| {
             for (w, state) in self.workers.iter().enumerate() {
-                let comm = Arc::clone(&comm);
                 let stats = &stats;
                 scope.spawn(move || {
                     let lane = orig_ids[w] as u32;
-                    // Writer handoff (see the stripe path above).
+                    // Writer handoff (see the lock-step epoch).
                     telemetry.adopt_lane(lane);
                     let start = telemetry.now_us();
                     let pipe_stats = hcc_comm::run_pipeline(
@@ -1371,7 +1180,13 @@ impl<'a> Session<'a> {
             }
         });
 
-        (stats.into_inner(), sync_time)
+        let stats = stats.into_inner();
+        let missed = vec![false; stats.len()];
+        EpochOutcome {
+            stats,
+            sync_time,
+            missed,
+        }
     }
 
     /// Early-stopping check: the best RMSE of the last `patience` epochs
@@ -1513,7 +1328,9 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
         };
         // Warm-up pass (thread spawn, page faults), then the measured pass.
         state.compute(&sample[..sample_len.min(4_096)], 0.0, 0.0, 0.0);
-        let elapsed = state.compute(sample, 0.0, 0.0, 0.0);
+        let t0 = Instant::now();
+        state.compute(sample, 0.0, 0.0, 0.0);
+        let elapsed = t0.elapsed();
         let per_entry = elapsed.as_secs_f64() / sample_len as f64;
         standalone.push((per_entry * work.nnz() as f64).max(1e-12));
     }

@@ -63,20 +63,38 @@ fn serial_rmse(ds: &SyntheticDataset, report: &hcc_mf::HccReport) -> f64 {
 fn fault_free_supervision_matches_plain_training_exactly() {
     let seed = chaos_seed();
     let ds = dataset(seed);
-    let plain = HccMf::new(base(seed).build()).train(&ds.matrix).unwrap();
-    let supervised = HccMf::new(base(seed).fault_tolerance(test_supervisor()).build())
-        .train(&ds.matrix)
-        .unwrap();
-    // The supervisor must be a pure observer on the happy path: identical
-    // factors bit-for-bit, no rollbacks, everyone healthy every epoch.
-    assert_eq!(plain.p, supervised.p);
-    assert_eq!(plain.q, supervised.q);
-    assert_eq!(supervised.rollbacks, 0);
-    assert!(supervised
-        .health_history
-        .iter()
-        .flatten()
-        .all(|h| *h == WorkerHealth::Healthy));
+    // Both collect policies run through the same lock-step epoch, so each
+    // wire is checked under both: every transport, and a sharded server.
+    let wires = [
+        (TransportKind::Shared, 1),
+        (TransportKind::CommP, 1),
+        (TransportKind::Socket, 1),
+        (TransportKind::Tcp, 1),
+        (TransportKind::Shared, 2),
+    ];
+    for (transport, shards) in wires {
+        let config = || base(seed).transport(transport).server_shards(shards);
+        let plain = HccMf::new(config().build()).train(&ds.matrix).unwrap();
+        let supervised = HccMf::new(config().fault_tolerance(test_supervisor()).build())
+            .train(&ds.matrix)
+            .unwrap();
+        // The supervisor must be a pure observer on the happy path:
+        // identical factors bit-for-bit, no rollbacks, everyone healthy
+        // every epoch.
+        let wire = format!("{transport:?} with {shards} server shard(s)");
+        assert_eq!(plain.p, supervised.p, "{wire}: P differs");
+        assert_eq!(plain.q, supervised.q, "{wire}: Q differs");
+        assert_eq!(supervised.rollbacks, 0, "{wire}");
+        assert!(
+            supervised
+                .health_history
+                .iter()
+                .flatten()
+                .all(|h| *h == WorkerHealth::Healthy),
+            "{wire}: {:?}",
+            supervised.health_history
+        );
+    }
 }
 
 #[test]
