@@ -11,21 +11,31 @@
 //! └───────┴──────┴──────┴────────┴───────┴───────┴─────────┴─────────┴───────┘
 //! ```
 //!
-//! The header is [`HEADER_LEN`] bytes; the CRC-32/IEEE trailer covers
-//! everything after the magic (kind through payload), so a flipped bit
-//! anywhere in the metadata or data is caught before the payload is
-//! applied. Payloads are f32 at the API and optionally IEEE binary16 on
-//! the wire, reusing the [`Precision`] codec the shared-memory transports
-//! already speak. The length prefix is capped at [`MAX_PAYLOAD_BYTES`] so
-//! a corrupt prefix can never coerce the receiver into a giant
-//! allocation.
+//! The header is [`HEADER_LEN`] bytes; the CRC-32/IEEE trailer
+//! ([`crate::crc`]) covers everything after the magic (kind through
+//! payload), so a flipped bit anywhere in the metadata or data is caught
+//! before the payload is applied. Payloads are f32 at the API and
+//! optionally IEEE binary16 on the wire, reusing the [`Precision`] codec
+//! the shared-memory transports already speak. The length prefix is capped
+//! at [`MAX_PAYLOAD_BYTES`] so a corrupt prefix can never coerce the
+//! receiver into a giant allocation.
 //!
-//! The CRC implementation here is the single source of truth for the
-//! workspace — the checkpoint-v2 footer (`hcc_mf::checkpoint`) reuses
-//! [`crc32`] rather than keeping its own copy of the table.
+//! There is one codec, with a copy-free form for each direction:
+//!
+//! * [`FrameRef::encode`] serializes a payload borrowed from the caller
+//!   into one exactly-sized wire buffer.
+//! * [`FrameView::parse`] validates a frame where it lies — exact length,
+//!   then the CRC over the whole body — and [`FrameView::decode_payload`]
+//!   then writes the payload straight into the caller's slice. A frame
+//!   that fails validation never touches the destination.
+//!
+//! [`Frame`] is the owned form; [`Frame::encode`] and [`Frame::decode`]
+//! are thin wrappers over the two above.
 
+use crate::crc::{crc32, Crc32};
 use crate::transport::Precision;
 use hcc_sgd::fp16;
+use std::borrow::Cow;
 
 /// Frame magic: "HCC frame, version 1".
 pub const MAGIC: [u8; 4] = *b"HCF1";
@@ -41,37 +51,14 @@ pub const TRAILER_LEN: usize = 4;
 /// instead of driving an allocation.
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 26;
 
-/// CRC-32/IEEE table (reflected polynomial 0xEDB8_8320), built at compile
-/// time. Shared by the wire frames here and the checkpoint-v2 footer.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
+/// Elements per step of the fp32 encoder: 32 KiB of wire bytes, small
+/// enough to still be in L1 when the CRC reads them back.
+const FP32_STEP: usize = 8192;
 
-/// CRC-32/IEEE over `data` (init `0xFFFF_FFFF`, final complement; check
-/// value `crc32(b"123456789") == 0xCBF4_3926`).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// Elements per step of the binary16 wire codec: the conversion goes
+/// through a stack buffer of this many halves instead of a heap copy of
+/// the whole payload.
+const FP16_STEP: usize = 1024;
 
 /// Which RPC a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +135,13 @@ pub enum FrameError {
         /// Bytes actually available.
         got: usize,
     },
+    /// The buffer continues past the end of the declared frame.
+    TrailingBytes {
+        /// Bytes the declared frame occupies.
+        expected: usize,
+        /// Bytes actually present.
+        got: usize,
+    },
     /// The length prefix exceeds [`MAX_PAYLOAD_BYTES`] (or is not a whole
     /// number of wire elements).
     Oversized {
@@ -163,6 +157,14 @@ pub enum FrameError {
         /// CRC computed over the received body.
         got: u32,
     },
+    /// A valid frame's payload has a different element count than the
+    /// slice it was to be decoded into.
+    LengthMismatch {
+        /// Elements the frame carries.
+        payload: usize,
+        /// Elements the destination holds.
+        dst: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -174,6 +176,9 @@ impl std::fmt::Display for FrameError {
             FrameError::Truncated { needed, got } => {
                 write!(f, "truncated frame: need {needed} bytes, have {got}")
             }
+            FrameError::TrailingBytes { expected, got } => {
+                write!(f, "frame is {expected} bytes but the buffer holds {got}")
+            }
             FrameError::Oversized { len, max } => {
                 write!(f, "length prefix {len} exceeds cap {max}")
             }
@@ -181,6 +186,12 @@ impl std::fmt::Display for FrameError {
                 write!(
                     f,
                     "CRC mismatch: trailer {expected:#010x}, computed {got:#010x}"
+                )
+            }
+            FrameError::LengthMismatch { payload, dst } => {
+                write!(
+                    f,
+                    "payload of {payload} elements does not fit a {dst}-element destination"
                 )
             }
         }
@@ -223,7 +234,77 @@ impl Frame {
     }
 
     /// Serializes the frame, encoding the payload at `self.precision` and
-    /// appending the CRC trailer.
+    /// appending the CRC trailer (see [`FrameRef::encode`]).
+    pub fn encode(&self) -> Vec<u8> {
+        FrameRef {
+            kind: self.kind,
+            precision: self.precision,
+            worker: self.worker,
+            epoch: self.epoch,
+            chunk: self.chunk,
+            payload: &self.payload,
+        }
+        .encode()
+    }
+
+    /// Parses a complete frame from `buf`, which must hold exactly one
+    /// frame (header + payload + trailer): a short buffer is
+    /// [`FrameError::Truncated`], a long one [`FrameError::TrailingBytes`].
+    pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
+        FrameView::parse(buf).map(|view| view.to_frame())
+    }
+
+    /// Validates a raw header and returns the number of bytes that follow
+    /// it (payload + trailer) — what a streaming reader must read next.
+    /// Catches bad magic and oversized/misaligned length prefixes before
+    /// any allocation.
+    pub fn body_len(header: &[u8; HEADER_LEN]) -> Result<usize, FrameError> {
+        parse_header(header).map(|(_, payload_bytes)| payload_bytes + TRAILER_LEN)
+    }
+}
+
+/// Checks the magic, precision and length prefix of a header; returns the
+/// precision and the payload length in bytes.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(Precision, usize), FrameError> {
+    let magic = [header[0], header[1], header[2], header[3]];
+    if magic != MAGIC {
+        return Err(FrameError::BadMagic(magic));
+    }
+    let precision = precision_from_u8(header[5])?;
+    let payload_bytes = u32::from_le_bytes([header[16], header[17], header[18], header[19]]);
+    let bpe = precision.bytes_per_element() as u32;
+    if payload_bytes > MAX_PAYLOAD_BYTES || payload_bytes % bpe != 0 {
+        return Err(FrameError::Oversized {
+            len: payload_bytes,
+            max: MAX_PAYLOAD_BYTES,
+        });
+    }
+    Ok((precision, payload_bytes as usize))
+}
+
+/// A frame to encode, with its payload borrowed from the caller — the
+/// server's published region, a worker's push buffer — so encoding needs
+/// no owned copy of it.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameRef<'a> {
+    /// RPC kind.
+    pub kind: RpcKind,
+    /// Wire precision of the payload.
+    pub precision: Precision,
+    /// Originating (or addressed) worker.
+    pub worker: u16,
+    /// Idempotency key's coarse half (see [`Frame::epoch`]).
+    pub epoch: u32,
+    /// Chunk index or status code (see [`Frame::chunk`]).
+    pub chunk: u32,
+    /// Payload, encoded at `precision`.
+    pub payload: &'a [f32],
+}
+
+impl FrameRef<'_> {
+    /// Serializes the frame into one allocation of exactly the wire size:
+    /// header, the payload at `self.precision` (bulk little-endian copies
+    /// at fp32), and the CRC trailer.
     pub fn encode(&self) -> Vec<u8> {
         let payload_bytes = self.payload.len() * self.precision.bytes_per_element() as usize;
         let mut out = Vec::with_capacity(HEADER_LEN + payload_bytes + TRAILER_LEN);
@@ -234,117 +315,185 @@ impl Frame {
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&self.chunk.to_le_bytes());
         out.extend_from_slice(&(payload_bytes as u32).to_le_bytes());
+        // The payload is checksummed a step at a time, right after it is
+        // written and still in cache, rather than in a second pass.
+        let mut crc = Crc32::new();
+        crc.update(&out[MAGIC.len()..]);
         match self.precision {
             Precision::Fp32 => {
-                for &v in &self.payload {
-                    out.extend_from_slice(&v.to_le_bytes());
+                for src in self.payload.chunks(FP32_STEP) {
+                    let at = out.len();
+                    out.extend_from_slice(&f32_le_bytes(src));
+                    crc.update(&out[at..]);
                 }
             }
             Precision::Fp16 => {
-                let mut half = vec![0u16; self.payload.len()];
-                fp16::encode_slice(&self.payload, &mut half);
-                for h in half {
-                    out.extend_from_slice(&h.to_le_bytes());
+                let mut half = [0u16; FP16_STEP];
+                for src in self.payload.chunks(FP16_STEP) {
+                    let half = &mut half[..src.len()];
+                    fp16::encode_slice(src, half);
+                    let at = out.len();
+                    out.resize(at + 2 * half.len(), 0);
+                    for (d, h) in out[at..].chunks_exact_mut(2).zip(half.iter()) {
+                        d.copy_from_slice(&h.to_le_bytes());
+                    }
+                    crc.update(&out[at..]);
                 }
             }
         }
-        let crc = crc32(&out[4..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(&crc.finalize().to_le_bytes());
         out
     }
+}
 
-    /// Parses a complete frame from `buf`. `buf` must contain exactly one
-    /// frame (header + payload + trailer); trailing bytes are a
-    /// [`FrameError::Truncated`]-style length disagreement caught by the
-    /// byte count check.
-    pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
-        if buf.len() < HEADER_LEN {
+/// `src` as little-endian f32 bytes: a borrowed view on little-endian
+/// targets, where the in-memory floats already are that encoding, and an
+/// owned conversion elsewhere. The frame payload and the checkpoint
+/// factors are both written through it.
+#[cfg(target_endian = "little")]
+pub fn f32_le_bytes(src: &[f32]) -> Cow<'_, [u8]> {
+    // SAFETY: f32 is four bytes with no padding and u8 has alignment 1, so
+    // the byte view covers exactly `src`'s memory for `src`'s lifetime.
+    let bytes = unsafe {
+        std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), std::mem::size_of_val(src))
+    };
+    Cow::Borrowed(bytes)
+}
+
+/// `src` as little-endian f32 bytes (see the little-endian variant).
+#[cfg(not(target_endian = "little"))]
+pub fn f32_le_bytes(src: &[f32]) -> Cow<'_, [u8]> {
+    Cow::Owned(src.iter().flat_map(|v| v.to_le_bytes()).collect())
+}
+
+/// A frame validated in its wire buffer `B` (a borrowed slice or an owned
+/// `Vec<u8>`): the header is parsed and the length and CRC are checked,
+/// while the payload stays in wire encoding until
+/// [`FrameView::decode_payload`] writes it where it is needed.
+#[derive(Debug)]
+pub struct FrameView<B> {
+    /// RPC kind.
+    pub kind: RpcKind,
+    /// Wire precision of the payload.
+    pub precision: Precision,
+    /// Originating (or addressed) worker.
+    pub worker: u16,
+    /// Idempotency key's coarse half (see [`Frame::epoch`]).
+    pub epoch: u32,
+    /// Chunk index or status code (see [`Frame::chunk`]).
+    pub chunk: u32,
+    buf: B,
+}
+
+impl<B: AsRef<[u8]>> FrameView<B> {
+    /// Validates `buf` as exactly one frame: header fields, then the exact
+    /// length (short is [`FrameError::Truncated`], long is
+    /// [`FrameError::TrailingBytes`]), then the CRC over the whole body.
+    /// Nothing is decoded until all of that holds.
+    pub fn parse(buf: B) -> Result<FrameView<B>, FrameError> {
+        let bytes = buf.as_ref();
+        let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
             return Err(FrameError::Truncated {
                 needed: HEADER_LEN,
-                got: buf.len(),
+                got: bytes.len(),
             });
-        }
-        let magic = [buf[0], buf[1], buf[2], buf[3]];
-        if magic != MAGIC {
-            return Err(FrameError::BadMagic(magic));
-        }
-        let kind = RpcKind::from_u8(buf[4])?;
-        let precision = precision_from_u8(buf[5])?;
-        let worker = u16::from_le_bytes([buf[6], buf[7]]);
-        let epoch = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        let chunk = u32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]]);
-        let payload_bytes = u32::from_le_bytes([buf[16], buf[17], buf[18], buf[19]]);
-        let bpe = precision.bytes_per_element() as u32;
-        if payload_bytes > MAX_PAYLOAD_BYTES || payload_bytes % bpe != 0 {
-            return Err(FrameError::Oversized {
-                len: payload_bytes,
-                max: MAX_PAYLOAD_BYTES,
-            });
-        }
-        let total = HEADER_LEN + payload_bytes as usize + TRAILER_LEN;
-        if buf.len() < total {
+        };
+        let (precision, payload_bytes) = parse_header(header)?;
+        let kind = RpcKind::from_u8(header[4])?;
+        let trailer_at = HEADER_LEN + payload_bytes;
+        let total = trailer_at + TRAILER_LEN;
+        if bytes.len() < total {
             return Err(FrameError::Truncated {
                 needed: total,
-                got: buf.len(),
+                got: bytes.len(),
             });
         }
-        let body = &buf[4..HEADER_LEN + payload_bytes as usize];
-        let trailer_at = HEADER_LEN + payload_bytes as usize;
+        if bytes.len() > total {
+            return Err(FrameError::TrailingBytes {
+                expected: total,
+                got: bytes.len(),
+            });
+        }
         let expected = u32::from_le_bytes([
-            buf[trailer_at],
-            buf[trailer_at + 1],
-            buf[trailer_at + 2],
-            buf[trailer_at + 3],
+            bytes[trailer_at],
+            bytes[trailer_at + 1],
+            bytes[trailer_at + 2],
+            bytes[trailer_at + 3],
         ]);
-        let got = crc32(body);
+        let got = crc32(&bytes[MAGIC.len()..trailer_at]);
         if expected != got {
             return Err(FrameError::BadCrc { expected, got });
         }
-        let wire = &buf[HEADER_LEN..trailer_at];
-        let payload = match precision {
-            Precision::Fp32 => wire
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect(),
-            Precision::Fp16 => {
-                let half: Vec<u16> = wire
-                    .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                    .collect();
-                let mut out = vec![0f32; half.len()];
-                fp16::decode_slice(&half, &mut out);
-                out
-            }
-        };
-        Ok(Frame {
+        Ok(FrameView {
             kind,
             precision,
-            worker,
-            epoch,
-            chunk,
-            payload,
+            worker: u16::from_le_bytes([header[6], header[7]]),
+            epoch: u32::from_le_bytes([header[8], header[9], header[10], header[11]]),
+            chunk: u32::from_le_bytes([header[12], header[13], header[14], header[15]]),
+            buf,
         })
     }
 
-    /// Validates a raw header and returns the number of bytes that follow
-    /// it (payload + trailer) — what a streaming reader must read next.
-    /// Catches bad magic and oversized/misaligned length prefixes before
-    /// any allocation.
-    pub fn body_len(header: &[u8; HEADER_LEN]) -> Result<usize, FrameError> {
-        let magic = [header[0], header[1], header[2], header[3]];
-        if magic != MAGIC {
-            return Err(FrameError::BadMagic(magic));
-        }
-        let precision = precision_from_u8(header[5])?;
-        let payload_bytes = u32::from_le_bytes([header[16], header[17], header[18], header[19]]);
-        let bpe = precision.bytes_per_element() as u32;
-        if payload_bytes > MAX_PAYLOAD_BYTES || payload_bytes % bpe != 0 {
-            return Err(FrameError::Oversized {
-                len: payload_bytes,
-                max: MAX_PAYLOAD_BYTES,
+    /// The payload in wire encoding.
+    fn wire(&self) -> &[u8] {
+        let bytes = self.buf.as_ref();
+        &bytes[HEADER_LEN..bytes.len() - TRAILER_LEN]
+    }
+
+    /// Payload length in elements.
+    pub fn payload_len(&self) -> usize {
+        self.wire().len() / self.precision.bytes_per_element() as usize
+    }
+
+    /// Decodes the payload into `dst`, which must hold exactly
+    /// [`FrameView::payload_len`] elements; otherwise
+    /// [`FrameError::LengthMismatch`] and `dst` is left untouched.
+    pub fn decode_payload(&self, dst: &mut [f32]) -> Result<(), FrameError> {
+        let payload = self.payload_len();
+        if dst.len() != payload {
+            return Err(FrameError::LengthMismatch {
+                payload,
+                dst: dst.len(),
             });
         }
-        Ok(payload_bytes as usize + TRAILER_LEN)
+        self.write_payload(dst);
+        Ok(())
+    }
+
+    /// The owned [`Frame`] this view describes.
+    fn to_frame(&self) -> Frame {
+        let mut payload = vec![0f32; self.payload_len()];
+        self.write_payload(&mut payload);
+        Frame {
+            kind: self.kind,
+            precision: self.precision,
+            worker: self.worker,
+            epoch: self.epoch,
+            chunk: self.chunk,
+            payload,
+        }
+    }
+
+    /// Decodes the payload into `dst` (callers ensure the lengths agree).
+    fn write_payload(&self, dst: &mut [f32]) {
+        let wire = self.wire();
+        match self.precision {
+            Precision::Fp32 => {
+                for (d, c) in dst.iter_mut().zip(wire.chunks_exact(4)) {
+                    *d = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                }
+            }
+            Precision::Fp16 => {
+                let mut half = [0u16; FP16_STEP];
+                for (dst, src) in dst.chunks_mut(FP16_STEP).zip(wire.chunks(2 * FP16_STEP)) {
+                    let half = &mut half[..dst.len()];
+                    for (h, c) in half.iter_mut().zip(src.chunks_exact(2)) {
+                        *h = u16::from_le_bytes([c[0], c[1]]);
+                    }
+                    fp16::decode_slice(half, dst);
+                }
+            }
+        }
     }
 }
 
@@ -448,6 +597,73 @@ mod tests {
     }
 
     #[test]
+    fn trailing_bytes_rejected() {
+        let mut bytes = sample(Precision::Fp32).encode();
+        let len = bytes.len();
+        bytes.push(0);
+        assert_eq!(
+            Frame::decode(&bytes),
+            Err(FrameError::TrailingBytes {
+                expected: len,
+                got: len + 1
+            })
+        );
+    }
+
+    #[test]
+    fn view_decodes_in_place_or_not_at_all() {
+        let f = sample(Precision::Fp16);
+        let bytes = f.encode();
+        let view = FrameView::parse(&bytes[..]).unwrap();
+        assert_eq!(view.kind, RpcKind::Push);
+        assert_eq!((view.worker, view.epoch, view.chunk), (3, 17, 2));
+        assert_eq!(view.payload_len(), 4);
+        let mut dst = [f32::NAN; 4];
+        view.decode_payload(&mut dst).unwrap();
+        assert_eq!(dst.to_vec(), f.payload);
+
+        // A destination of the wrong length is a typed error, not a
+        // partial copy.
+        let mut short = [7.0f32; 3];
+        assert_eq!(
+            view.decode_payload(&mut short),
+            Err(FrameError::LengthMismatch { payload: 4, dst: 3 })
+        );
+        assert_eq!(short, [7.0; 3]);
+
+        // An owned buffer works the same way.
+        let owned = FrameView::parse(bytes.clone()).unwrap();
+        assert_eq!(owned.to_frame(), Frame::decode(&bytes).unwrap());
+    }
+
+    #[test]
+    fn frame_ref_encodes_like_frame() {
+        for precision in [Precision::Fp32, Precision::Fp16] {
+            // Long enough to cross the fp16 codec's step; every value is
+            // exact in binary16.
+            let payload: Vec<f32> = (0..2 * FP16_STEP + 3)
+                .map(|j| (j % 256) as f32 * 0.25)
+                .collect();
+            let owned = Frame {
+                payload: payload.clone(),
+                ..sample(precision)
+            };
+            let borrowed = FrameRef {
+                kind: owned.kind,
+                precision,
+                worker: owned.worker,
+                epoch: owned.epoch,
+                chunk: owned.chunk,
+                payload: &payload,
+            };
+            let bytes = borrowed.encode();
+            assert_eq!(bytes, owned.encode());
+            assert_eq!(bytes.len(), bytes.capacity(), "one exactly-sized buffer");
+            assert_eq!(Frame::decode(&bytes).unwrap(), owned);
+        }
+    }
+
+    #[test]
     fn oversized_length_prefix_rejected() {
         let mut bytes = sample(Precision::Fp32).encode();
         bytes[16..20].copy_from_slice(&(MAX_PAYLOAD_BYTES + 4).to_le_bytes());
@@ -542,6 +758,17 @@ mod tests {
             let at = 4 + flip_at % (corrupt.len() - 4);
             corrupt[at] ^= 0x01;
             assert!(Frame::decode(&corrupt).is_err(), "case {case} flip {at}");
+
+            // Trailing garbage after a valid frame is rejected.
+            let mut trailing = bytes.clone();
+            trailing.push(0);
+            assert!(
+                matches!(
+                    Frame::decode(&trailing),
+                    Err(FrameError::TrailingBytes { .. })
+                ),
+                "case {case}"
+            );
 
             // Oversized prefix: rejected without reading the payload.
             let mut oversized = bytes.clone();

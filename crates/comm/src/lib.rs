@@ -17,8 +17,12 @@
 //! * [`pipeline`] — the asynchronous pull→compute→push pipeline used by
 //!   Strategy 3 ("Asynchronous Computing-Transmission") to overlap
 //!   communication with computation across multiple streams.
+//! * [`crc`] — the workspace's one CRC-32/IEEE: carry-less-multiply
+//!   folding where the CPU has it, a byte-at-a-time table elsewhere, and
+//!   an incremental [`Crc32`] state. The frame trailer and the checkpoint
+//!   footer both use it.
 //! * [`frame`] — the length-prefixed, CRC-32-trailed wire frame codec the
-//!   socket transport speaks (and the checkpoint footer reuses).
+//!   socket transport speaks.
 //! * [`socket`] — [`CommSocket`]: the same [`Transport`] contract over a
 //!   Unix domain socket or loopback TCP with per-RPC deadlines, bounded
 //!   retries, jittered reconnect backoff, and idempotent push dedup.
@@ -49,6 +53,7 @@
 pub mod backoff;
 pub mod buffer;
 pub mod chaos;
+pub mod crc;
 pub mod delta;
 pub mod frame;
 pub mod pipeline;
@@ -59,8 +64,9 @@ pub mod transport;
 pub use backoff::Backoff;
 pub use buffer::SharedBuffer;
 pub use chaos::{ChaosStats, ChaosTransport, NetChaosPlan, Partition};
+pub use crc::{crc32, Crc32};
 pub use delta::{apply_delta, delta_len, encode_delta, max_delta_len, DeltaError};
-pub use frame::{crc32, Frame, FrameError, RpcKind};
+pub use frame::{f32_le_bytes, Frame, FrameError, FrameRef, FrameView, RpcKind};
 pub use pipeline::{run_pipeline, PipelineStats};
 pub use socket::{CommSocket, NetEvent, NetEventKind, NetStats, SocketConfig};
 pub use strategy::TransferStrategy;

@@ -29,7 +29,7 @@
 //! as a missing collect — the same path a crashed worker takes.
 
 use crate::backoff::Backoff;
-use crate::frame::{Frame, RpcKind, HEADER_LEN};
+use crate::frame::{Frame, FrameRef, FrameView, RpcKind, HEADER_LEN};
 use crate::transport::{CommError, Precision, Transport};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::io::{Read, Write};
@@ -64,7 +64,13 @@ impl SockListener {
     fn accept(&self) -> std::io::Result<SockStream> {
         match self {
             SockListener::Unix(l) => l.accept().map(|(s, _)| SockStream::Unix(s)),
-            SockListener::Tcp(l) => l.accept().map(|(s, _)| SockStream::Tcp(s)),
+            SockListener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                // The server's replies are latency-bound too: its acks and
+                // the sub-MSS tail of a pull reply must not wait on Nagle.
+                s.set_nodelay(true)?;
+                Ok(SockStream::Tcp(s))
+            }
         }
     }
 }
@@ -284,7 +290,7 @@ impl ServerState {
             if stream.read_exact(&mut buf[HEADER_LEN..]).is_err() {
                 return;
             }
-            let frame = match Frame::decode(&buf) {
+            let frame = match FrameView::parse(&buf[..]) {
                 Ok(f) => f,
                 Err(_) => {
                     // Framing held but the body failed its CRC: nack so
@@ -300,16 +306,17 @@ impl ServerState {
             };
             match frame.kind {
                 RpcKind::Pull => {
-                    let payload = self.published.read().clone();
-                    let reply = Frame {
+                    // Encoded straight from the published region under its
+                    // read guard; the guard drops before the socket write.
+                    let bytes = FrameRef {
                         kind: RpcKind::Pull,
                         precision: self.precision,
                         worker: frame.worker,
                         epoch: frame.epoch,
                         chunk: 0,
-                        payload,
-                    };
-                    let bytes = reply.encode();
+                        payload: &self.published.read(),
+                    }
+                    .encode();
                     // ordering: Relaxed — wire-byte statistic.
                     self.pull_bytes
                         .fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -338,8 +345,16 @@ impl ServerState {
                             // ordering: Relaxed — statistic.
                             self.dedup_hits.fetch_add(1, Ordering::Relaxed);
                         } else {
-                            let n = frame.payload.len().min(data.buf.len());
-                            data.buf[..n].copy_from_slice(&frame.payload[..n]);
+                            // The CRC already held, so the payload decodes
+                            // straight into the slot; one longer than the
+                            // slot is a malformed peer: drop the connection.
+                            let n = frame.payload_len();
+                            let Some(dst) = data.buf.get_mut(..n) else {
+                                return;
+                            };
+                            if frame.decode_payload(dst).is_err() {
+                                return;
+                            }
                             data.len = n;
                             data.ready = true;
                             data.last_applied = Some(key);
@@ -631,11 +646,12 @@ impl CommSocket {
     }
 
     /// One framed request/response exchange with the deadline applied.
+    /// The reply comes back validated but still in its wire buffer.
     fn exchange(
         stream: &mut SockStream,
         request: &[u8],
         timeout: Duration,
-    ) -> std::io::Result<Result<Frame, CommError>> {
+    ) -> std::io::Result<Result<FrameView<Vec<u8>>, CommError>> {
         let deadline = timeout.max(Duration::from_millis(1));
         stream.set_write_timeout(Some(deadline))?;
         stream.set_read_timeout(Some(deadline))?;
@@ -649,17 +665,14 @@ impl CommSocket {
         let mut buf = vec![0u8; HEADER_LEN + body_len];
         buf[..HEADER_LEN].copy_from_slice(&header);
         stream.read_exact(&mut buf[HEADER_LEN..])?;
-        match Frame::decode(&buf) {
-            Ok(frame) => Ok(Ok(frame)),
-            Err(_) => Ok(Err(CommError::Corrupt)),
-        }
+        Ok(FrameView::parse(buf).map_err(|_| CommError::Corrupt))
     }
 
-    /// Runs one RPC with the full resilience stack: deadline per attempt,
-    /// bounded retries, reconnect-on-breakage. Returns the response frame
-    /// or the terminal error.
-    fn rpc(&self, worker: usize, request: &Frame) -> Result<Frame, CommError> {
-        let bytes = request.encode();
+    /// Runs one RPC — `request` is an encoded frame — with the full
+    /// resilience stack: deadline per attempt, bounded retries,
+    /// reconnect-on-breakage. Returns the validated response frame or the
+    /// terminal error.
+    fn rpc(&self, worker: usize, request: &[u8]) -> Result<FrameView<Vec<u8>>, CommError> {
         let mut conn = self.conns[worker].lock();
         let mut backoff = self.backoff_for(worker);
         let mut last_err = CommError::Timeout;
@@ -668,12 +681,12 @@ impl CommSocket {
                 let delay = backoff.next_delay();
                 // ordering: Relaxed — statistic.
                 self.retrans_bytes
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                    .fetch_add(request.len() as u64, Ordering::Relaxed);
                 self.record_event(NetEvent {
                     worker,
                     kind: NetEventKind::Retry {
                         cause: last_err,
-                        bytes: bytes.len() as u64,
+                        bytes: request.len() as u64,
                     },
                     delay_us: delay.as_micros() as u64,
                 });
@@ -685,7 +698,7 @@ impl CommSocket {
             let Some(stream) = conn.stream.as_mut() else {
                 return Err(CommError::PartitionedLink);
             };
-            match Self::exchange(stream, &bytes, self.cfg.rpc_timeout) {
+            match Self::exchange(stream, request, self.cfg.rpc_timeout) {
                 Ok(Ok(frame)) => {
                     if frame.kind == RpcKind::Sync && frame.chunk == STATUS_CORRUPT {
                         last_err = CommError::Corrupt; // server nack: retry
@@ -713,6 +726,38 @@ impl CommSocket {
         }
         Err(last_err)
     }
+
+    /// Pulls the published region straight from the reply's wire buffer
+    /// into `dst`. A reply that is not a Pull, or whose payload length is
+    /// not `dst.len()`, is [`CommError::Corrupt`]; on any error `dst` is
+    /// left untouched.
+    fn pull_into(&self, worker: usize, dst: &mut [f32]) -> Result<(), CommError> {
+        let request = Frame::control(RpcKind::Pull, worker as u16, 0, 0).encode();
+        let reply = self.rpc(worker, &request)?;
+        if reply.kind != RpcKind::Pull {
+            return Err(CommError::Corrupt);
+        }
+        reply.decode_payload(dst).map_err(|_| CommError::Corrupt)
+    }
+
+    /// Sends `src` as push number `seq`, encoded straight from the slice.
+    fn send_push(&self, worker: usize, seq: u32, src: &[f32]) -> Result<(), CommError> {
+        let kind = if self.cfg.delta_push {
+            RpcKind::DeltaPush
+        } else {
+            RpcKind::Push
+        };
+        let request = FrameRef {
+            kind,
+            precision: self.precision,
+            worker: worker as u16,
+            epoch: seq,
+            chunk: 0,
+            payload: src,
+        }
+        .encode();
+        self.rpc(worker, &request).map(drop)
+    }
 }
 
 impl Transport for CommSocket {
@@ -723,13 +768,9 @@ impl Transport for CommSocket {
     }
 
     fn pull(&self, worker: usize, dst: &mut [f32]) {
-        let req = Frame::control(RpcKind::Pull, worker as u16, 0, 0);
-        if let Ok(reply) = self.rpc(worker, &req) {
-            let n = reply.payload.len().min(dst.len());
-            dst[..n].copy_from_slice(&reply.payload[..n]);
-        }
-        // On total failure dst keeps its previous contents; the worker's
-        // next push will be stale and the supervisor handles the fallout.
+        // On failure dst keeps its previous contents; the worker's next
+        // push will be stale and the supervisor handles the fallout.
+        let _ = self.pull_into(worker, dst);
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
@@ -738,22 +779,9 @@ impl Transport for CommSocket {
             conn.push_seq = conn.push_seq.wrapping_add(1);
             conn.push_seq
         };
-        let kind = if self.cfg.delta_push {
-            RpcKind::DeltaPush
-        } else {
-            RpcKind::Push
-        };
-        let frame = Frame {
-            kind,
-            precision: self.precision,
-            worker: worker as u16,
-            epoch: seq,
-            chunk: 0,
-            payload: src.to_vec(),
-        };
         // A push that exhausts its budget is dropped; the server-side
         // collect times out and the supervisor classifies the worker.
-        let _ = self.rpc(worker, &frame);
+        let _ = self.send_push(worker, seq, src);
     }
 
     fn push_duplicate(&self, worker: usize, src: &[f32]) {
@@ -761,20 +789,7 @@ impl Transport for CommSocket {
         // of the last push. The server's (worker, seq, chunk) dedup must
         // acknowledge it without re-applying.
         let seq = self.conns[worker].lock().push_seq;
-        let kind = if self.cfg.delta_push {
-            RpcKind::DeltaPush
-        } else {
-            RpcKind::Push
-        };
-        let frame = Frame {
-            kind,
-            precision: self.precision,
-            worker: worker as u16,
-            epoch: seq,
-            chunk: 0,
-            payload: src.to_vec(),
-        };
-        let _ = self.rpc(worker, &frame);
+        let _ = self.send_push(worker, seq, src);
     }
 
     fn collect(&self, worker: usize, dst: &mut [f32]) {
@@ -933,14 +948,14 @@ mod tests {
             chunk: 0,
             payload: vec![1.0, 2.0, 3.0, 4.0],
         };
-        assert_eq!(t.rpc(0, &frame).unwrap().chunk, STATUS_OK);
+        assert_eq!(t.rpc(0, &frame.encode()).unwrap().chunk, STATUS_OK);
         let mut dst = vec![0f32; 4];
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, vec![1.0, 2.0, 3.0, 4.0]);
 
         // Duplicate: acked but not re-applied, so collect times out.
-        assert_eq!(t.rpc(0, &frame).unwrap().chunk, STATUS_OK);
+        assert_eq!(t.rpc(0, &frame.encode()).unwrap().chunk, STATUS_OK);
         assert_eq!(t.net_stats().dedup_hits, 1);
         assert_eq!(
             t.collect_timeout(0, &mut dst, Duration::from_millis(30)),
@@ -953,7 +968,7 @@ mod tests {
             payload: vec![9.0; 4],
             ..frame
         };
-        assert_eq!(t.rpc(0, &next).unwrap().chunk, STATUS_OK);
+        assert_eq!(t.rpc(0, &next.encode()).unwrap().chunk, STATUS_OK);
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, vec![9.0; 4]);
@@ -1013,6 +1028,170 @@ mod tests {
         assert_eq!(dst, vec![3.0; 4]);
     }
 
+    /// Serves `replies` in order on a fresh Unix socket, one per request,
+    /// accepting a new connection whenever the client drops the current one.
+    fn canned_server(replies: Vec<Vec<u8>>) -> (PathBuf, std::thread::JoinHandle<()>) {
+        let id = SOCKET_ID.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "hcc-comm-canned-{}-{}.sock",
+            std::process::id(),
+            id
+        ));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let handle = std::thread::spawn(move || {
+            let mut replies = replies.into_iter().peekable();
+            while replies.peek().is_some() {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut header = [0u8; HEADER_LEN];
+                while stream.read_exact(&mut header).is_ok() {
+                    let mut body = vec![0u8; Frame::body_len(&header).unwrap()];
+                    stream.read_exact(&mut body).unwrap();
+                    let Some(reply) = replies.next() else {
+                        return;
+                    };
+                    let _ = stream.write_all(&reply);
+                }
+            }
+        });
+        (path, handle)
+    }
+
+    /// A one-worker transport whose client dials `path` instead of its own
+    /// server.
+    fn client_of(path: PathBuf, cfg: SocketConfig) -> CommSocket {
+        let mut t = CommSocket::with_config(1, 4, 4, Precision::Fp32, cfg).unwrap();
+        if let SockAddr::Unix(own) = std::mem::replace(&mut t.addr, SockAddr::Unix(path)) {
+            let _ = std::fs::remove_file(own);
+        }
+        t
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn corrupt_pull_reply_leaves_dst_untouched() {
+        let mut reply = Frame {
+            kind: RpcKind::Pull,
+            precision: Precision::Fp32,
+            worker: 0,
+            epoch: 0,
+            chunk: 0,
+            payload: vec![1.0, 2.0, 3.0, 4.0],
+        }
+        .encode();
+        reply[HEADER_LEN + 6] ^= 0x40; // payload bit: the CRC now fails
+        let cfg = SocketConfig {
+            rpc_retries: 2,
+            backoff_initial: Duration::from_millis(1),
+            ..SocketConfig::default()
+        };
+        let (path, server) = canned_server(vec![reply.clone(), reply]);
+        let t = client_of(path, cfg);
+        let mut dst = [-0.0f32, f32::NAN, 5.5, f32::MIN_POSITIVE];
+        let before = bits(&dst);
+        assert_eq!(t.pull_into(0, &mut dst), Err(CommError::Corrupt));
+        assert_eq!(bits(&dst), before, "a corrupt reply must not touch dst");
+        drop(t);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn mismatched_pull_reply_is_corrupt_not_a_partial_copy() {
+        let wrong_kind = Frame {
+            kind: RpcKind::Push,
+            precision: Precision::Fp32,
+            worker: 0,
+            epoch: 0,
+            chunk: 0,
+            payload: vec![1.0; 4],
+        }
+        .encode();
+        let wrong_len = Frame {
+            kind: RpcKind::Pull,
+            payload: vec![2.0; 3],
+            ..Frame::control(RpcKind::Pull, 0, 0, 0)
+        }
+        .encode();
+        let (path, server) = canned_server(vec![wrong_kind, wrong_len]);
+        let t = client_of(path, SocketConfig::default());
+        let mut dst = [9.0f32; 4];
+        assert_eq!(t.pull_into(0, &mut dst), Err(CommError::Corrupt));
+        assert_eq!(dst, [9.0; 4]);
+        assert_eq!(t.pull_into(0, &mut dst), Err(CommError::Corrupt));
+        assert_eq!(dst, [9.0; 4]);
+        drop(t);
+        server.join().unwrap();
+
+        // Against the real server: a region of 8 pulled into 4 slots.
+        let t = CommSocket::new(1, 8, 8, Precision::Fp32).unwrap();
+        t.publish(&[1.0; 8]);
+        let mut dst = [0.5f32; 4];
+        assert_eq!(t.pull_into(0, &mut dst), Err(CommError::Corrupt));
+        assert_eq!(dst, [0.5; 4]);
+    }
+
+    #[test]
+    fn corrupt_or_oversized_push_leaves_slot_untouched() {
+        let t = socket(1, 4);
+        t.push(0, &[1.0, -2.0, 3.0, -4.0]);
+        let snapshot = |t: &CommSocket| {
+            let d = t.state.slots[0].data.lock();
+            (bits(&d.buf), d.len, d.ready, d.last_applied)
+        };
+        let before = snapshot(&t);
+        assert_eq!(before.3, Some((1, 0)));
+
+        let mut bytes = Frame {
+            kind: RpcKind::Push,
+            precision: Precision::Fp32,
+            worker: 0,
+            epoch: 2,
+            chunk: 0,
+            payload: vec![9.0; 4],
+        }
+        .encode();
+        bytes[HEADER_LEN + 5] ^= 0x10;
+        {
+            let mut conn = t.conns[0].lock();
+            let stream = conn.stream.as_mut().unwrap();
+            let reply = CommSocket::exchange(stream, &bytes, Duration::from_secs(1))
+                .unwrap()
+                .unwrap();
+            assert_eq!(reply.chunk, STATUS_CORRUPT);
+        }
+        assert_eq!(
+            snapshot(&t),
+            before,
+            "a corrupt push must not touch the slot"
+        );
+
+        // A push longer than the slot is a malformed peer: never applied,
+        // not even in part.
+        let long = Frame {
+            epoch: 3,
+            payload: vec![7.0; 5],
+            ..Frame::control(RpcKind::Push, 0, 0, 0)
+        }
+        .encode();
+        assert!(t.rpc(0, &long).is_err());
+        assert_eq!(snapshot(&t), before);
+    }
+
+    #[test]
+    fn accepted_tcp_streams_disable_nagle() {
+        let tcp = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = tcp.local_addr().unwrap();
+        let listener = SockListener::Tcp(tcp);
+        let _client = TcpStream::connect(addr).unwrap();
+        match listener.accept().unwrap() {
+            SockStream::Tcp(s) => assert!(s.nodelay().unwrap()),
+            SockStream::Unix(_) => panic!("a TCP listener accepted a Unix stream"),
+        }
+    }
+
     #[test]
     fn reconnect_after_stream_breakage() {
         let t = socket(1, 4);
@@ -1040,7 +1219,7 @@ mod tests {
         // Tear the listener down by stealing its socket file.
         std::fs::remove_file(t.socket_path().unwrap()).unwrap();
         let req = Frame::control(RpcKind::Pull, 0, 0, 0);
-        let err = t.rpc(0, &req).unwrap_err();
+        let err = t.rpc(0, &req.encode()).unwrap_err();
         assert_eq!(err, CommError::PartitionedLink);
     }
 
@@ -1085,8 +1264,8 @@ mod tests {
             chunk: 0,
             payload: vec![7.0; 4],
         };
-        assert_eq!(t.rpc(0, &frame).unwrap().chunk, STATUS_OK);
-        assert_eq!(t.rpc(0, &frame).unwrap().chunk, STATUS_OK);
+        assert_eq!(t.rpc(0, &frame.encode()).unwrap().chunk, STATUS_OK);
+        assert_eq!(t.rpc(0, &frame.encode()).unwrap().chunk, STATUS_OK);
         assert_eq!(t.net_stats().dedup_hits, 1);
     }
 

@@ -28,8 +28,9 @@
 //! catches truncation and every single-bit flip.
 
 use crate::error::HccError;
+use hcc_comm::{f32_le_bytes, Crc32};
 use hcc_sgd::FactorMatrix;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 const MAGIC_V1: &[u8; 7] = b"HCCMF1\n";
@@ -76,12 +77,12 @@ pub struct ResumeState {
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, the zlib polynomial). The implementation lives in
-// `hcc_comm::frame` — the checkpoint footer and the network frame trailer
+// `hcc_comm::crc` — the checkpoint footer and the network frame trailer
 // are byte-for-byte the same checksum — and is re-exported here so
 // existing `checkpoint::crc32` callers keep working.
 // ---------------------------------------------------------------------------
 
-pub use hcc_comm::frame::crc32;
+pub use hcc_comm::crc32;
 
 // ---------------------------------------------------------------------------
 // Save
@@ -99,8 +100,9 @@ pub fn save_model<P: AsRef<Path>>(
 
 /// Writes a `(P, Q)` model plus resumable training state to `path`.
 ///
-/// The file is assembled in memory (CRC needs the full byte stream), written
-/// to `<path>.tmp`, fsynced, and atomically renamed into place.
+/// The file is streamed to `<path>.tmp` through a buffered writer that
+/// updates the CRC footer as it goes, fsynced, and atomically renamed into
+/// place.
 pub fn save_checkpoint<P: AsRef<Path>>(
     path: P,
     p: &FactorMatrix,
@@ -113,10 +115,15 @@ pub fn save_checkpoint<P: AsRef<Path>>(
         ));
     }
     let path = path.as_ref();
-    let mut bytes = Vec::with_capacity(
-        MAGIC_V2.len() + V2_META_LEN + 4 * (p.as_slice().len() + q.as_slice().len()) + 4,
-    );
-    bytes.extend_from_slice(MAGIC_V2);
+    let tmp = path.with_extension(match path.extension() {
+        Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
+        None => "tmp".to_string(),
+    });
+    let mut out = CrcWriter {
+        inner: BufWriter::new(std::fs::File::create(&tmp)?),
+        crc: Crc32::new(),
+    };
+    out.write_all(MAGIC_V2)?;
     for v in [
         p.rows() as u64,
         q.rows() as u64,
@@ -124,29 +131,37 @@ pub fn save_checkpoint<P: AsRef<Path>>(
         meta.epoch as u64,
         meta.seed,
     ] {
-        bytes.extend_from_slice(&v.to_le_bytes());
+        out.write_all(&v.to_le_bytes())?;
     }
-    bytes.extend_from_slice(&meta.lr_scale.to_le_bytes());
-    bytes.push(if meta.transposed { FLAG_TRANSPOSED } else { 0 });
-    for &v in p.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    for &v in q.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-
-    let tmp = path.with_extension(match path.extension() {
-        Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
-        None => "tmp".to_string(),
-    });
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(&bytes)?;
+    out.write_all(&meta.lr_scale.to_le_bytes())?;
+    out.write_all(&[if meta.transposed { FLAG_TRANSPOSED } else { 0 }])?;
+    out.write_all(&f32_le_bytes(p.as_slice()))?;
+    out.write_all(&f32_le_bytes(q.as_slice()))?;
+    let CrcWriter { mut inner, crc } = out;
+    inner.write_all(&crc.finalize().to_le_bytes())?;
+    let file = inner.into_inner().map_err(|e| e.into_error())?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(&tmp, path)?;
     Ok(())
+}
+
+/// A writer that checksums every byte it passes on.
+struct CrcWriter<W> {
+    inner: W,
+    crc: Crc32,
+}
+
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.crc.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -462,6 +477,85 @@ mod tests {
             load_model(tmp("does_not_exist.hccmf")),
             Err(HccError::Io(_))
         ));
+    }
+
+    /// The v2 layout assembled in memory, field by field, independently
+    /// of the streaming writer.
+    fn reference_v2(p: &FactorMatrix, q: &FactorMatrix, meta: &TrainingMeta) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC_V2);
+        for v in [
+            p.rows() as u64,
+            q.rows() as u64,
+            p.k() as u64,
+            meta.epoch as u64,
+            meta.seed,
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(&meta.lr_scale.to_le_bytes());
+        bytes.push(if meta.transposed { FLAG_TRANSPOSED } else { 0 });
+        for &v in p.as_slice().iter().chain(q.as_slice()) {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn saved_bytes_match_reference_v2_layout() {
+        // The largest model is several times the writer's 8 KiB buffer,
+        // so the streamed CRC crosses buffer flushes.
+        for (m, n, k) in [(1, 1, 1), (13, 7, 4), (3000, 2, 3)] {
+            let p = FactorMatrix::random(m, k, 21);
+            let q = FactorMatrix::random(n, k, 22);
+            let meta = TrainingMeta {
+                epoch: 9,
+                seed: 0xABCD,
+                lr_scale: 0.75,
+                transposed: m % 2 == 1,
+            };
+            let path = tmp("golden.hccmf");
+            save_checkpoint(&path, &p, &q, &meta).unwrap();
+            let saved = std::fs::read(&path).unwrap();
+            assert!(saved == reference_v2(&p, &q, &meta), "{m}x{n}x{k}");
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    #[test]
+    fn loads_checkpoint_written_by_the_in_memory_writer() {
+        // Bytes of a v2 file written by the earlier writer, which built
+        // the whole file in memory and checksummed it in one call.
+        const OLD_V2: [u8; 96] = [
+            0x48, 0x43, 0x43, 0x4d, 0x46, 0x32, 0x0a, 0x02, 0x00, 0x00, 0x00, 0x00, //
+            0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, //
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, //
+            0x00, 0x00, 0x00, 0xed, 0x5e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+            0x00, 0x00, 0x3f, 0x01, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x20, 0xc0, //
+            0x00, 0x00, 0x00, 0x3e, 0xa6, 0x9b, 0x44, 0x3b, 0x00, 0x00, 0x00, 0x00, //
+            0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0xf0, 0x40, 0x00, 0x00, 0x80, 0x00, //
+            0x00, 0x24, 0x74, 0x49, 0x00, 0x00, 0x29, 0xc2, 0xcf, 0xd9, 0xcf, 0xf7, //
+        ];
+        let p = FactorMatrix::from_vec(2, 2, vec![1.0, -2.5, 0.125, 3.0e-3]);
+        let q = FactorMatrix::from_vec(3, 2, vec![0.0, -0.0, 7.5, f32::MIN_POSITIVE, 1e6, -42.25]);
+        let meta = TrainingMeta {
+            epoch: 3,
+            seed: 0x5EED,
+            lr_scale: 0.5,
+            transposed: true,
+        };
+        let path = tmp("old_v2.hccmf");
+        std::fs::write(&path, OLD_V2).unwrap();
+        let state = load_checkpoint(&path).unwrap();
+        assert_eq!(state.p, p);
+        assert_eq!(state.q, q);
+        assert_eq!(state.meta, meta);
+        // …and today's writer reproduces those bytes exactly.
+        save_checkpoint(&path, &p, &q, &meta).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), OLD_V2);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
