@@ -3,8 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hcc_baselines::{CumfSgdSim, Dsgd, Fpsgd, Nomad, SerialSgd, TrainConfig};
-use hcc_sgd::{hogwild_epoch, FactorMatrix, HogwildConfig, SharedFactors};
-use hcc_sparse::{GenConfig, SyntheticDataset};
+use hcc_sgd::{
+    hogwild_epoch, rule_epoch, rule_epoch_tiled, AdaGrad, AdaGradState, FactorMatrix,
+    HogwildConfig, Momentum, MomentumState, Schedule, Sgd, SharedFactors,
+};
+use hcc_sparse::{GenConfig, SyntheticDataset, TileGrid};
 
 fn dataset() -> SyntheticDataset {
     SyntheticDataset::generate(GenConfig {
@@ -73,8 +76,6 @@ fn bench_solvers(c: &mut Criterion) {
 }
 
 fn bench_optimizers(c: &mut Criterion) {
-    use hcc_sgd::adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
-    use hcc_sgd::momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
     let ds = dataset();
     let mut group = c.benchmark_group("optimizer_epoch");
     group.sample_size(10);
@@ -82,34 +83,36 @@ fn bench_optimizers(c: &mut Criterion) {
 
     let p = SharedFactors::from_matrix(&FactorMatrix::random(2_000, 32, 1));
     let q = SharedFactors::from_matrix(&FactorMatrix::random(1_000, 32, 2));
-    let sgd_cfg = HogwildConfig {
+    let grid = TileGrid::with_default_budget(ds.matrix.entries(), 2_000, 1_000, 32);
+    let cfg = HogwildConfig {
         threads: 2,
         learning_rate: 0.005,
         lambda_p: 0.01,
         lambda_q: 0.01,
-        schedule: Default::default(),
+        schedule: Schedule::Stripe,
     };
-    group.bench_function("sgd", |b| {
-        b.iter(|| hogwild_epoch(ds.matrix.entries(), &p, &q, &sgd_cfg))
-    });
-
-    let ada_state = AdaGradState::new(2_000, 1_000, 32);
-    let ada_cfg = AdaGradConfig {
-        threads: 2,
-        ..Default::default()
-    };
-    group.bench_function("adagrad", |b| {
-        b.iter(|| adagrad_hogwild_epoch(ds.matrix.entries(), &p, &q, &ada_state, &ada_cfg))
-    });
-
-    let mom_state = MomentumState::new(2_000, 1_000, 32);
-    let mom_cfg = MomentumConfig {
-        threads: 2,
-        ..Default::default()
-    };
-    group.bench_function("momentum", |b| {
-        b.iter(|| momentum_hogwild_epoch(ds.matrix.entries(), &p, &q, &mom_state, &mom_cfg))
-    });
+    // A stripe row and a tiled row per rule, each on the sweep
+    // monomorphized for that rule, as the workers run it.
+    macro_rules! rule_rows {
+        ($name:literal, $rule:expr) => {{
+            let rule = $rule;
+            group.bench_function(concat!($name, "/stripe"), |b| {
+                b.iter(|| rule_epoch(ds.matrix.entries(), &p, &q, &rule, &cfg))
+            });
+            group.bench_function(concat!($name, "/tiled"), |b| {
+                b.iter(|| rule_epoch_tiled(&grid, &p, &q, &rule, &cfg))
+            });
+        }};
+    }
+    rule_rows!("sgd", Sgd);
+    rule_rows!(
+        "adagrad",
+        AdaGrad::new(0.05, 1e-8, AdaGradState::new(2_000, 1_000, 32))
+    );
+    rule_rows!(
+        "momentum",
+        Momentum::new(0.9, MomentumState::new(2_000, 1_000, 32))
+    );
     group.finish();
 }
 

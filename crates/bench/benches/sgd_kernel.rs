@@ -3,7 +3,7 @@
 //! (the `(16k+4)/B` term of the time-cost model).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hcc_sgd::kernel::{dot, dot_unrolled, sgd_step, sgd_step_shared};
+use hcc_sgd::kernel::{dot, sgd_step, sgd_step_shared};
 use hcc_sgd::{FactorMatrix, SharedFactors};
 use std::hint::black_box;
 
@@ -15,9 +15,6 @@ fn bench_dot(c: &mut Criterion) {
         group.throughput(Throughput::Elements(k as u64));
         group.bench_with_input(BenchmarkId::new("plain", k), &k, |bench, _| {
             bench.iter(|| dot(black_box(&a), black_box(&b)))
-        });
-        group.bench_with_input(BenchmarkId::new("unrolled", k), &k, |bench, _| {
-            bench.iter(|| dot_unrolled(black_box(&a), black_box(&b)))
         });
     }
     group.finish();

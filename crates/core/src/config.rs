@@ -99,9 +99,9 @@ pub enum Optimizer {
     /// base step; the learning-rate schedule is ignored. Accumulators are
     /// per-worker and reset when the partition is rebuilt.
     AdaGrad {
-        /// Base step η₀.
+        /// Base step η₀ (finite, > 0).
         eta0: f32,
-        /// Stabilizer ε.
+        /// Stabilizer ε (finite, > 0).
         epsilon: f32,
     },
     /// Heavy-ball momentum at the configured learning-rate schedule.
@@ -174,9 +174,9 @@ pub struct HccConfig {
     pub early_stop: Option<EarlyStop>,
     /// Per-update optimizer.
     pub optimizer: Optimizer,
-    /// Hogwild entry-to-thread schedule inside each worker (plain SGD only;
-    /// `stripe` is the classic interleaving, `tiled` the cache-blocked
-    /// scheduler).
+    /// Hogwild entry-to-thread schedule inside each worker, for every
+    /// [`Optimizer`] (`stripe` is the classic interleaving, `tiled` the
+    /// cache-blocked scheduler).
     pub schedule: Schedule,
     /// Optional warm-start factors `(P, Q)` in the *input* orientation.
     /// Dimensions must match the training matrix and `k`; used instead of
@@ -295,6 +295,18 @@ impl HccConfig {
             return Err(HccError::BadConfig(
                 "resume and warm_start are mutually exclusive".into(),
             ));
+        }
+        let positive = |v: f32| v.is_finite() && v > 0.0;
+        let optimizer_ok = match self.optimizer {
+            Optimizer::Sgd => true,
+            Optimizer::AdaGrad { eta0, epsilon } => positive(eta0) && positive(epsilon),
+            Optimizer::Momentum { beta } => (0.0..1.0).contains(&beta),
+        };
+        if !optimizer_ok {
+            return Err(HccError::BadConfig(format!(
+                "{:?}: AdaGrad needs finite eta0, epsilon > 0; momentum needs beta in [0, 1)",
+                self.optimizer
+            )));
         }
         for w in &self.workers {
             if w.threads == 0 {
@@ -581,6 +593,30 @@ mod tests {
             .workers(vec![WorkerSpec::cpu(2).throttled(1.5)])
             .try_build()
             .is_err());
+    }
+
+    #[test]
+    fn validation_rejects_bad_optimizer_hyper_parameters() {
+        let adagrad = |eta0, epsilon| Optimizer::AdaGrad { eta0, epsilon };
+        let momentum = |beta| Optimizer::Momentum { beta };
+        let nan = f32::NAN;
+        for bad in [
+            momentum(1.0),
+            momentum(-0.1),
+            momentum(nan),
+            adagrad(0.0, 1e-8),
+            adagrad(-0.05, 1e-8),
+            adagrad(nan, 1e-8),
+            adagrad(f32::INFINITY, 1e-8),
+            adagrad(0.05, 0.0),
+            adagrad(0.05, nan),
+        ] {
+            let built = HccConfig::builder().optimizer(bad).try_build();
+            assert!(matches!(built, Err(HccError::BadConfig(_))), "{bad:?}");
+        }
+        for good in [momentum(0.0), momentum(0.9), adagrad(0.05, 1e-8)] {
+            assert!(HccConfig::builder().optimizer(good).try_build().is_ok());
+        }
     }
 
     #[test]

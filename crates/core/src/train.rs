@@ -2,13 +2,13 @@
 //! `pull → compute → push → sync` epoch loop of Fig. 4.
 
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
-use crate::config::{HccConfig, Optimizer, PartitionMode, TransportKind, WorkerSpec};
+use crate::config::{HccConfig, PartitionMode, TransportKind, WorkerSpec};
 use crate::error::HccError;
 use crate::fault::FaultKind;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::{merge_weighted, merge_weights, region_layout, RegionLayout, ShardedServer};
 use crate::supervisor::{Supervisor, WorkerHealth};
-use crate::worker::{bucket_by_stream, rebase_entries, stream_col_range, WorkerState};
+use crate::worker::{bucket_by_stream, rebase_entries, stream_col_range, Rule, WorkerState};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
     Backoff, ChaosTransport, CommError, CommP, CommShared, CommSocket, Precision, TransferStrategy,
@@ -416,18 +416,6 @@ impl<'a> Session<'a> {
                 local_p.copy_rows_from_slice(0, rows, &packed);
             }
             let local_q = SharedFactors::zeros(self.n, k);
-            let adagrad = match self.config.optimizer {
-                Optimizer::AdaGrad { .. } => {
-                    Some(hcc_sgd::AdaGradState::new(rows.max(1), self.n, k))
-                }
-                _ => None,
-            };
-            let momentum = match self.config.optimizer {
-                Optimizer::Momentum { .. } => {
-                    Some(hcc_sgd::MomentumState::new(rows.max(1), self.n, k))
-                }
-                _ => None,
-            };
             workers.push(WorkerState {
                 spec: spec.clone(),
                 entries,
@@ -435,9 +423,7 @@ impl<'a> Session<'a> {
                 row_range: range,
                 local_p,
                 local_q,
-                optimizer: self.config.optimizer,
-                adagrad,
-                momentum,
+                rule: Rule::new(self.config.optimizer, rows.max(1), self.n, k),
                 schedule: self.config.schedule,
             });
         }
@@ -851,6 +837,13 @@ impl<'a> Session<'a> {
         let plan = self.config.fault_plan.as_ref();
         let orig_ids = &self.orig_ids;
 
+        // Every worker's pull is timed from here, so its pull → compute →
+        // push chain starts with the epoch: the publish and any wait for a
+        // CPU before the worker thread runs (more workers than cores) count
+        // as pull time instead of time no phase accounts for.
+        let publish_us = telemetry.now_us();
+        let published = Instant::now();
+
         // Publish: [P | Q] under FullPq, [Q] otherwise.
         let mut pull_staging = vec![0f32; layout.pull_len];
         if strategy == TransferStrategy::FullPq {
@@ -893,9 +886,7 @@ impl<'a> Session<'a> {
                         telemetry.adopt_lane(lane);
                         let mut staging = vec![0f32; layout.pull_len.max(layout.push_len)];
 
-                        // Pull.
-                        let start = telemetry.now_us();
-                        let t0 = Instant::now();
+                        // Pull (timed from the publish, see `published`).
                         transport.pull(w, &mut staging[..layout.pull_len]);
                         state.local_q.copy_rows_from_slice(
                             0,
@@ -910,8 +901,8 @@ impl<'a> Session<'a> {
                                 &staging[lo * k..(lo + state.rows()) * k],
                             );
                         }
-                        let pull = t0.elapsed();
-                        telemetry.phase(lane, epoch_u32, lane, Phase::Pull, start, pull);
+                        let pull = published.elapsed();
+                        telemetry.phase(lane, epoch_u32, lane, Phase::Pull, publish_us, pull);
 
                         // Compute (an injected stall counts as compute time,
                         // so the supervisor's straggler rule sees it).
@@ -1321,9 +1312,7 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             row_range: 0..work.rows(),
             local_p: SharedFactors::zeros(m, k),
             local_q: SharedFactors::zeros(n, k),
-            optimizer: crate::config::Optimizer::Sgd,
-            adagrad: None,
-            momentum: None,
+            rule: Rule::Sgd,
             schedule: config.schedule,
         };
         // Warm-up pass (thread spawn, page faults), then the measured pass.

@@ -6,9 +6,10 @@
 //! so the hot loop indexes `local_p` directly.
 
 use crate::config::{Optimizer, WorkerSpec};
-use hcc_sgd::adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
-use hcc_sgd::momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
-use hcc_sgd::{hogwild_epoch, HogwildConfig, Schedule, SharedFactors};
+use hcc_sgd::{
+    rule_epoch, AdaGrad, AdaGradState, HogwildConfig, Momentum, MomentumState, Schedule, Sgd,
+    SharedFactors,
+};
 use hcc_sparse::Rating;
 use std::ops::Range;
 use std::time::Instant;
@@ -17,6 +18,30 @@ use std::time::Instant;
 /// injection tracks its target rate closely, large enough to amortize the
 /// per-call thread spawn.
 const THROTTLE_CHUNK: usize = 65_536;
+
+/// The update rule a worker sweeps its shard with, holding the rule's
+/// per-row state (reset on repartition, which re-creates worker states).
+pub(crate) enum Rule {
+    Sgd,
+    AdaGrad(AdaGrad),
+    Momentum(Momentum),
+}
+
+impl Rule {
+    /// The rule for `optimizer`, with state for `rows` local `P` rows and
+    /// `n` `Q` rows at dimension `k`.
+    pub fn new(optimizer: Optimizer, rows: usize, n: usize, k: usize) -> Rule {
+        match optimizer {
+            Optimizer::Sgd => Rule::Sgd,
+            Optimizer::AdaGrad { eta0, epsilon } => {
+                Rule::AdaGrad(AdaGrad::new(eta0, epsilon, AdaGradState::new(rows, n, k)))
+            }
+            Optimizer::Momentum { beta } => {
+                Rule::Momentum(Momentum::new(beta, MomentumState::new(rows, n, k)))
+            }
+        }
+    }
+}
 
 /// One worker's in-memory state.
 pub(crate) struct WorkerState {
@@ -34,53 +59,28 @@ pub(crate) struct WorkerState {
     pub local_p: SharedFactors,
     /// Local `Q` copy, `n × k`.
     pub local_q: SharedFactors,
-    /// The optimizer this worker runs.
-    pub optimizer: Optimizer,
-    /// AdaGrad accumulators (present iff `optimizer` is AdaGrad; reset on
-    /// repartition, which re-creates worker states).
-    pub adagrad: Option<AdaGradState>,
-    /// Momentum velocity buffers (present iff `optimizer` is Momentum).
-    pub momentum: Option<MomentumState>,
-    /// Entry-to-thread schedule for the plain-SGD Hogwild sweep (the
-    /// AdaGrad/Momentum kernels keep their own striped sweeps).
+    /// The update rule and its state.
+    pub rule: Rule,
+    /// Entry-to-thread schedule of the Hogwild sweep.
     pub schedule: Schedule,
 }
 
 impl WorkerState {
-    /// Runs one epoch of Hogwild SGD over the shard (or one stream bucket),
-    /// honouring the throttle.
+    /// Runs one Hogwild epoch of the worker's update rule over the shard (or
+    /// one stream bucket), honouring the throttle.
     pub fn compute(&self, entries: &[Rating], lr: f32, lambda_p: f32, lambda_q: f32) {
-        let run = |chunk: &[Rating]| match (self.optimizer, &self.adagrad, &self.momentum) {
-            (Optimizer::AdaGrad { eta0, epsilon }, Some(state), _) => {
-                let cfg = AdaGradConfig {
-                    threads: self.spec.threads,
-                    eta0,
-                    lambda_p,
-                    lambda_q,
-                    epsilon,
-                };
-                adagrad_hogwild_epoch(chunk, &self.local_p, &self.local_q, state, &cfg);
-            }
-            (Optimizer::Momentum { beta }, _, Some(state)) => {
-                let cfg = MomentumConfig {
-                    threads: self.spec.threads,
-                    learning_rate: lr,
-                    beta,
-                    lambda_p,
-                    lambda_q,
-                };
-                momentum_hogwild_epoch(chunk, &self.local_p, &self.local_q, state, &cfg);
-            }
-            _ => {
-                let cfg = HogwildConfig {
-                    threads: self.spec.threads,
-                    learning_rate: lr,
-                    lambda_p,
-                    lambda_q,
-                    schedule: self.schedule,
-                };
-                hogwild_epoch(chunk, &self.local_p, &self.local_q, &cfg);
-            }
+        let config = HogwildConfig {
+            threads: self.spec.threads,
+            learning_rate: lr,
+            lambda_p,
+            lambda_q,
+            schedule: self.schedule,
+        };
+        let (p, q) = (&self.local_p, &self.local_q);
+        let run = |chunk: &[Rating]| match &self.rule {
+            Rule::Sgd => rule_epoch(chunk, p, q, &Sgd, &config),
+            Rule::AdaGrad(rule) => rule_epoch(chunk, p, q, rule, &config),
+            Rule::Momentum(rule) => rule_epoch(chunk, p, q, rule, &config),
         };
         if self.spec.speed_factor >= 1.0 {
             run(entries);
@@ -163,9 +163,7 @@ mod tests {
             row_range: 0..10,
             local_p: SharedFactors::from_matrix(&FactorMatrix::random(10, 4, 1)),
             local_q: SharedFactors::from_matrix(&FactorMatrix::random(8, 4, 2)),
-            optimizer: Optimizer::Sgd,
-            adagrad: None,
-            momentum: None,
+            rule: Rule::Sgd,
             schedule: Schedule::Stripe,
         }
     }

@@ -4,10 +4,12 @@
 //! HCC-MF paper trains with a fixed γ (Table 3), but per-parameter adaptive
 //! steps `η_t = η₀ / √(Σ g²+ε)` remove the learning-rate tuning burden and
 //! converge faster in the skewed-popularity regime (hot items see many
-//! updates and get small steps; cold ones keep large steps). Provided as a
-//! drop-in alternative epoch function with its own accumulator state.
+//! updates and get small steps; cold ones keep large steps). Provided as an
+//! [`UpdateRule`] with its own accumulator state, so it runs on the same
+//! stripe and tiled sweeps as plain SGD.
 
 use crate::factors::SharedFactors;
+use crate::hogwild::{HogwildConfig, UpdateRule};
 use crate::kernel::dot;
 use hcc_sparse::Rating;
 use std::sync::atomic::Ordering;
@@ -40,137 +42,95 @@ impl AdaGradState {
     }
 }
 
-/// AdaGrad epoch configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaGradConfig {
-    /// Hogwild threads.
-    pub threads: usize,
-    /// Base step η₀ (AdaGrad tolerates much larger values than plain SGD's
-    /// γ; 0.05–0.1 is typical).
-    pub eta0: f32,
-    /// L2 on `P`.
-    pub lambda_p: f32,
-    /// L2 on `Q`.
-    pub lambda_q: f32,
-    /// Stabilizer ε inside the square root.
-    pub epsilon: f32,
+/// The AdaGrad update rule: the shared factor step scaled per parameter by
+/// its accumulated squared gradient. Runs on the generic Hogwild sweep
+/// ([`rule_epoch`](crate::hogwild::rule_epoch)); the L2 weights come from
+/// the sweep's [`HogwildConfig`] and its learning rate is ignored in favour
+/// of `eta0`.
+#[derive(Debug, Clone)]
+pub struct AdaGrad {
+    eta0: f32,
+    epsilon: f32,
+    state: AdaGradState,
 }
 
-impl Default for AdaGradConfig {
-    fn default() -> Self {
-        AdaGradConfig {
-            threads: 1,
-            eta0: 0.05,
-            lambda_p: 0.01,
-            lambda_q: 0.01,
-            epsilon: 1e-8,
+impl AdaGrad {
+    /// Rule with base step `eta0` (AdaGrad tolerates much larger values than
+    /// plain SGD's γ; 0.05–0.1 is typical) and stabilizer `epsilon` inside
+    /// the square root, accumulating into `state`.
+    ///
+    /// # Panics
+    /// Panics unless `eta0` and `epsilon` are finite and positive.
+    pub fn new(eta0: f32, epsilon: f32, state: AdaGradState) -> AdaGrad {
+        assert!(
+            eta0.is_finite() && eta0 > 0.0,
+            "eta0 must be finite and > 0"
+        );
+        assert!(epsilon.is_finite() && epsilon > 0.0, "epsilon must be > 0");
+        AdaGrad {
+            eta0,
+            epsilon,
+            state,
         }
     }
 }
 
-/// One AdaGrad update. Returns the pre-update error.
-#[inline]
-#[allow(clippy::too_many_arguments)] // hot kernel: flat scalars beat a params struct
-fn adagrad_step(
-    p: &SharedFactors,
-    q: &SharedFactors,
-    state: &AdaGradState,
-    u: usize,
-    i: usize,
-    r: f32,
-    cfg: &AdaGradConfig,
-    scratch: &mut [f32],
-) -> f32 {
-    let k = p.k();
-    debug_assert_eq!(scratch.len(), 2 * k);
-    let (pl, ql) = scratch.split_at_mut(k);
-    let p_cells = p.row_cells(u);
-    let q_cells = q.row_cells(i);
-    let ap_cells = state.accum_p.row_cells(u);
-    let aq_cells = state.accum_q.row_cells(i);
-    // ordering: Relaxed throughout this kernel — Hogwild cells (factor and
-    // AdaGrad accumulator alike) carry no cross-cell ordering; racing
-    // read-modify-write interleavings lose increments at worst, which the
-    // asynchronous-SGD convergence argument tolerates.
-    for j in 0..k {
-        pl[j] = f32::from_bits(p_cells[j].load(Ordering::Relaxed));
-        ql[j] = f32::from_bits(q_cells[j].load(Ordering::Relaxed));
+impl UpdateRule for AdaGrad {
+    fn scratch_len(&self, k: usize) -> usize {
+        2 * k
     }
-    let e = r - dot(pl, ql);
-    for j in 0..k {
-        let gp = e * ql[j] - cfg.lambda_p * pl[j];
-        let gq = e * pl[j] - cfg.lambda_q * ql[j];
-        // ordering: Relaxed — see the kernel-level note above.
-        let ap = f32::from_bits(ap_cells[j].load(Ordering::Relaxed)) + gp * gp;
-        let aq = f32::from_bits(aq_cells[j].load(Ordering::Relaxed)) + gq * gq;
-        ap_cells[j].store(ap.to_bits(), Ordering::Relaxed);
-        aq_cells[j].store(aq.to_bits(), Ordering::Relaxed);
-        let p_new = pl[j] + cfg.eta0 * gp / (ap + cfg.epsilon).sqrt();
-        let q_new = ql[j] + cfg.eta0 * gq / (aq + cfg.epsilon).sqrt();
-        // ordering: Relaxed — see the kernel-level note above.
-        p_cells[j].store(p_new.to_bits(), Ordering::Relaxed);
-        q_cells[j].store(q_new.to_bits(), Ordering::Relaxed);
-    }
-    e
-}
 
-/// One Hogwild epoch with AdaGrad steps. Returns summed squared pre-update
-/// errors.
-pub fn adagrad_hogwild_epoch(
-    entries: &[Rating],
-    p: &SharedFactors,
-    q: &SharedFactors,
-    state: &AdaGradState,
-    cfg: &AdaGradConfig,
-) -> f64 {
-    assert!(cfg.threads > 0, "thread count must be non-zero");
-    if entries.is_empty() {
-        return 0.0;
-    }
-    let threads = cfg.threads.min(entries.len());
-    let sweep = |offset: usize| {
-        let mut scratch = vec![0f32; 2 * p.k()];
-        let mut acc = 0.0f64;
-        let mut idx = offset;
-        while idx < entries.len() {
-            let e = entries[idx];
-            let err = adagrad_step(
-                p,
-                q,
-                state,
-                e.u as usize,
-                e.i as usize,
-                e.r,
-                cfg,
-                &mut scratch,
-            );
-            acc += (err as f64) * (err as f64);
-            idx += threads;
+    #[inline]
+    fn step(
+        &self,
+        p: &SharedFactors,
+        q: &SharedFactors,
+        e: Rating,
+        config: &HogwildConfig,
+        scratch: &mut [f32],
+    ) -> f32 {
+        let k = p.k();
+        debug_assert_eq!(scratch.len(), 2 * k);
+        let (u, i) = (e.u as usize, e.i as usize);
+        let (pl, ql) = scratch.split_at_mut(k);
+        p.load_row_into(u, pl);
+        q.load_row_into(i, ql);
+        let p_cells = p.row_cells(u);
+        let q_cells = q.row_cells(i);
+        let ap_cells = self.state.accum_p.row_cells(u);
+        let aq_cells = self.state.accum_q.row_cells(i);
+        let err = e.r - dot(pl, ql);
+        for j in 0..k {
+            let gp = err * ql[j] - config.lambda_p * pl[j];
+            let gq = err * pl[j] - config.lambda_q * ql[j];
+            // ordering: Relaxed throughout this step — Hogwild cells (factor
+            // and AdaGrad accumulator alike) carry no cross-cell ordering;
+            // racing read-modify-write interleavings lose increments at
+            // worst, which the asynchronous-SGD convergence argument
+            // tolerates.
+            let ap = f32::from_bits(ap_cells[j].load(Ordering::Relaxed)) + gp * gp;
+            let aq = f32::from_bits(aq_cells[j].load(Ordering::Relaxed)) + gq * gq;
+            ap_cells[j].store(ap.to_bits(), Ordering::Relaxed);
+            aq_cells[j].store(aq.to_bits(), Ordering::Relaxed);
+            let p_new = pl[j] + self.eta0 * gp / (ap + self.epsilon).sqrt();
+            let q_new = ql[j] + self.eta0 * gq / (aq + self.epsilon).sqrt();
+            // ordering: Relaxed — see the step-level note above.
+            p_cells[j].store(p_new.to_bits(), Ordering::Relaxed);
+            q_cells[j].store(q_new.to_bits(), Ordering::Relaxed);
         }
-        acc
-    };
-    if threads == 1 {
-        return sweep(0);
+        err
     }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| scope.spawn(move || sweep(t)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .sum()
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hogwild::{hogwild_epoch, rule_epoch};
     use crate::loss::rmse;
     use crate::FactorMatrix;
     use hcc_sparse::{GenConfig, SyntheticDataset};
 
-    fn setup() -> (SyntheticDataset, SharedFactors, SharedFactors, AdaGradState) {
+    fn setup() -> (SyntheticDataset, SharedFactors, SharedFactors, AdaGrad) {
         let ds = SyntheticDataset::generate(GenConfig {
             rows: 200,
             cols: 100,
@@ -180,22 +140,52 @@ mod tests {
         });
         let p = SharedFactors::from_matrix(&FactorMatrix::random(200, 8, 11));
         let q = SharedFactors::from_matrix(&FactorMatrix::random(100, 8, 12));
-        let state = AdaGradState::new(200, 100, 8);
-        (ds, p, q, state)
+        let rule = AdaGrad::new(0.05, 1e-8, AdaGradState::new(200, 100, 8));
+        (ds, p, q, rule)
+    }
+
+    #[test]
+    fn adagrad_step_matches_hand_computed_gradient() {
+        // k=2, p=[1,2], q=[3,4], r=12, η₀=0.1, ε=1e-8, λp=0.01, λq=0.02.
+        // Step 1: e = 1, g_p = [2.99, 3.98], g_q = [0.94, 1.92]; fresh
+        // accumulators make each move ≈ η₀·sign(g): p=[1.1,2.1], q=[3.1,4.1].
+        // Step 2: e = 12 − 12.02 = −0.02, g_p0 = −0.02·3.1 − 0.011 = −0.073,
+        // a_p0 = 2.99² + 0.073² = 8.945429, p0 = 1.1 − 0.1·0.073/√a_p0.
+        let p = SharedFactors::from_matrix(&FactorMatrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let q = SharedFactors::from_matrix(&FactorMatrix::from_vec(1, 2, vec![3.0, 4.0]));
+        let rule = AdaGrad::new(0.1, 1e-8, AdaGradState::new(1, 1, 2));
+        let config = HogwildConfig {
+            lambda_q: 0.02,
+            ..HogwildConfig::with_threads(1, 0.01)
+        };
+        let mut scratch = vec![0f32; rule.scratch_len(2)];
+        let rating = Rating::new(0, 0, 12.0);
+        let close = |m: &SharedFactors, want: [f32; 2]| {
+            for (got, want) in m.snapshot().as_slice().iter().zip(want) {
+                assert!((got - want).abs() < 1e-5, "{got} vs {want}");
+            }
+        };
+        let e = rule.step(&p, &q, rating, &config, &mut scratch);
+        assert!((e - 1.0).abs() < 1e-6);
+        close(&p, [1.1, 2.1]);
+        close(&q, [3.1, 4.1]);
+        let e = rule.step(&p, &q, rating, &config, &mut scratch);
+        assert!((e + 0.02).abs() < 1e-5, "e {e}");
+        close(&p, [1.097_559_3, 2.097_413]);
+        close(&q, [3.091_099_3, 4.093_555]);
+        // Mean of a_p = (8.945429 + 15.851009) / 2.
+        assert!((rule.state.mean_accum_p() - 12.398_219).abs() < 1e-4);
     }
 
     #[test]
     fn adagrad_converges() {
-        let (ds, p, q, state) = setup();
-        let cfg = AdaGradConfig {
-            threads: 2,
-            ..Default::default()
-        };
-        let before = rmse(ds.matrix.entries(), &p.snapshot(), &q.snapshot());
+        let (ds, p, q, rule) = setup();
+        let (entries, cfg) = (ds.matrix.entries(), HogwildConfig::with_threads(2, 0.01));
+        let before = rmse(entries, &p.snapshot(), &q.snapshot());
         for _ in 0..15 {
-            adagrad_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
+            rule_epoch(entries, &p, &q, &rule, &cfg);
         }
-        let after = rmse(ds.matrix.entries(), &p.snapshot(), &q.snapshot());
+        let after = rmse(entries, &p.snapshot(), &q.snapshot());
         assert!(after < before * 0.5, "{before} -> {after}");
     }
 
@@ -203,44 +193,35 @@ mod tests {
     fn adagrad_beats_plain_sgd_in_few_epochs() {
         // With the same (aggressive) base step, plain SGD oscillates where
         // AdaGrad's per-parameter damping keeps progress steady.
-        let (ds, p, q, state) = setup();
-        let cfg = AdaGradConfig {
-            threads: 1,
-            eta0: 0.1,
-            ..Default::default()
-        };
+        let (ds, p, q, _) = setup();
+        let (entries, cfg) = (ds.matrix.entries(), HogwildConfig::with_threads(1, 0.01));
+        let rule = AdaGrad::new(0.1, 1e-8, AdaGradState::new(200, 100, 8));
         for _ in 0..5 {
-            adagrad_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
+            rule_epoch(entries, &p, &q, &rule, &cfg);
         }
-        let ada = rmse(ds.matrix.entries(), &p.snapshot(), &q.snapshot());
+        let ada = rmse(entries, &p.snapshot(), &q.snapshot());
 
         let p2 = SharedFactors::from_matrix(&FactorMatrix::random(200, 8, 11));
         let q2 = SharedFactors::from_matrix(&FactorMatrix::random(100, 8, 12));
-        let hw = crate::hogwild::HogwildConfig {
-            threads: 1,
+        let hw = HogwildConfig {
             learning_rate: 0.1,
-            lambda_p: 0.01,
-            lambda_q: 0.01,
-            schedule: Default::default(),
+            ..cfg
         };
         for _ in 0..5 {
-            crate::hogwild::hogwild_epoch(ds.matrix.entries(), &p2, &q2, &hw);
+            hogwild_epoch(entries, &p2, &q2, &hw);
         }
-        let sgd = rmse(ds.matrix.entries(), &p2.snapshot(), &q2.snapshot());
+        let sgd = rmse(entries, &p2.snapshot(), &q2.snapshot());
         assert!(ada < sgd, "adagrad {ada} vs sgd {sgd}");
     }
 
     #[test]
     fn accumulators_grow_monotonically() {
-        let (ds, p, q, state) = setup();
-        let cfg = AdaGradConfig {
-            threads: 1,
-            ..Default::default()
-        };
+        let (ds, p, q, rule) = setup();
+        let cfg = HogwildConfig::with_threads(1, 0.01);
         let mut last = 0.0;
         for _ in 0..3 {
-            adagrad_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
-            let now = state.mean_accum_p();
+            rule_epoch(ds.matrix.entries(), &p, &q, &rule, &cfg);
+            let now = rule.state.mean_accum_p();
             assert!(now > last, "accumulator did not grow: {now} <= {last}");
             last = now;
         }
@@ -248,9 +229,9 @@ mod tests {
 
     #[test]
     fn empty_entries_noop() {
-        let (_, p, q, state) = setup();
-        let cfg = AdaGradConfig::default();
-        assert_eq!(adagrad_hogwild_epoch(&[], &p, &q, &state, &cfg), 0.0);
-        assert_eq!(state.mean_accum_p(), 0.0);
+        let (_, p, q, rule) = setup();
+        let cfg = HogwildConfig::with_threads(1, 0.01);
+        assert_eq!(rule_epoch(&[], &p, &q, &rule, &cfg), 0.0);
+        assert_eq!(rule.state.mean_accum_p(), 0.0);
     }
 }

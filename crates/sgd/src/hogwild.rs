@@ -6,6 +6,11 @@
 //! analysis (sparse data ⇒ rare conflicts ⇒ convergence holds), which is
 //! exactly the argument the paper leans on in §2.1 and §4.2.
 //!
+//! One sweep serves every optimizer: an [`UpdateRule`] is the per-rating
+//! step (plain [`Sgd`], [`AdaGrad`](crate::adagrad::AdaGrad),
+//! [`Momentum`](crate::momentum::Momentum)) plus its per-row state, and
+//! [`rule_epoch`] / [`rule_epoch_tiled`] run it under either schedule.
+//!
 //! Two schedules decide *which* entries a thread sweeps:
 //!
 //! * [`Schedule::Stripe`] — thread `t` handles `entries[t], entries[t +
@@ -25,7 +30,7 @@ use crate::factors::SharedFactors;
 use crate::kernel::sgd_step_shared;
 use hcc_sparse::{Rating, TileGrid};
 
-/// Which entry-to-thread assignment [`hogwild_epoch`] uses.
+/// Which entry-to-thread assignment [`rule_epoch`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Interleaved striping over the shuffled entry list (the classic
@@ -94,7 +99,89 @@ impl HogwildConfig {
     }
 }
 
-/// Runs one asynchronous epoch over `entries`, updating `p` and `q` in place.
+/// One per-rating update on shared `P`/`Q` rows, plus whatever per-row
+/// state the rule keeps. The generic sweeps ([`rule_epoch`],
+/// [`rule_epoch_tiled`]) call [`step`](UpdateRule::step) once per rating on
+/// every Hogwild thread at once, so a rule's state must tolerate the same
+/// benign races as the factor rows themselves.
+pub trait UpdateRule: Sync {
+    /// f32 lanes of per-thread scratch one step needs at latent dimension
+    /// `k` (the sweep allocates them once per thread).
+    fn scratch_len(&self, _k: usize) -> usize {
+        0
+    }
+
+    /// Updates `P` row `e.u` and `Q` row `e.i` towards rating `e.r` and
+    /// returns the error `r − p·q` measured *before* the update. `config`
+    /// carries the epoch's learning rate and L2 weights.
+    fn step(
+        &self,
+        p: &SharedFactors,
+        q: &SharedFactors,
+        e: Rating,
+        config: &HogwildConfig,
+        scratch: &mut [f32],
+    ) -> f32;
+}
+
+/// Plain SGD: the fused SIMD step of [`sgd_step_shared`] at
+/// `config.learning_rate`. Keeps no state.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sgd;
+
+impl UpdateRule for Sgd {
+    #[inline]
+    fn step(
+        &self,
+        p: &SharedFactors,
+        q: &SharedFactors,
+        e: Rating,
+        config: &HogwildConfig,
+        _scratch: &mut [f32],
+    ) -> f32 {
+        sgd_step_shared(
+            p,
+            q,
+            e.u as usize,
+            e.i as usize,
+            e.r,
+            config.learning_rate,
+            config.lambda_p,
+            config.lambda_q,
+        )
+    }
+}
+
+/// Runs one asynchronous plain-SGD epoch over `entries`, updating `p` and
+/// `q` in place: [`rule_epoch`] with the [`Sgd`] rule.
+///
+/// # Panics
+/// Panics if `config.threads == 0` or if an entry indexes outside `p`/`q`.
+pub fn hogwild_epoch(
+    entries: &[Rating],
+    p: &SharedFactors,
+    q: &SharedFactors,
+    config: &HogwildConfig,
+) -> f64 {
+    rule_epoch(entries, p, q, &Sgd, config)
+}
+
+/// Plain-SGD epoch over a pre-built [`TileGrid`]: [`rule_epoch_tiled`] with
+/// the [`Sgd`] rule.
+///
+/// # Panics
+/// Panics if `config.threads == 0` or if a tile entry indexes outside `p`/`q`.
+pub fn hogwild_epoch_tiled(
+    grid: &TileGrid,
+    p: &SharedFactors,
+    q: &SharedFactors,
+    config: &HogwildConfig,
+) -> f64 {
+    rule_epoch_tiled(grid, p, q, &Sgd, config)
+}
+
+/// Runs one asynchronous epoch of `rule` over `entries`, updating `p` and
+/// `q` (and the rule's state) in place.
 ///
 /// With [`Schedule::Stripe`], entries are processed in stripes: thread `t`
 /// handles `entries[t], entries[t + threads], …`. Striping (rather than
@@ -103,7 +190,7 @@ impl HogwildConfig {
 /// [`Schedule::Tiled`], a [`TileGrid`] is built for the shard (one `O(nnz)`
 /// counting sort) and threads claim whole tiles; callers that run many epochs
 /// over the same shard should build the grid once and use
-/// [`hogwild_epoch_tiled`] instead.
+/// [`rule_epoch_tiled`] instead.
 ///
 /// Returns the summed squared prediction error observed during the sweep
 /// (errors are measured *before* each update, so this is a running training
@@ -111,10 +198,11 @@ impl HogwildConfig {
 ///
 /// # Panics
 /// Panics if `config.threads == 0` or if an entry indexes outside `p`/`q`.
-pub fn hogwild_epoch(
+pub fn rule_epoch<R: UpdateRule + ?Sized>(
     entries: &[Rating],
     p: &SharedFactors,
     q: &SharedFactors,
+    rule: &R,
     config: &HogwildConfig,
 ) -> f64 {
     assert!(config.threads > 0, "thread count must be non-zero");
@@ -128,34 +216,21 @@ pub fn hogwild_epoch(
     match config.schedule {
         Schedule::Stripe => {
             let threads = config.threads.min(entries.len());
-            if threads == 1 {
-                return sweep_stripe(entries, 0, 1, p, q, config);
-            }
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let p = p.clone();
-                    let q = q.clone();
-                    handles.push(
-                        scope.spawn(move || sweep_stripe(entries, t, threads, &p, &q, config)),
-                    );
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .sum()
+            on_threads(threads, |t| {
+                sweep_stripe(entries, t, threads, p, q, rule, config)
             })
         }
         Schedule::Tiled => {
             let grid = TileGrid::with_default_budget(entries, p.rows(), q.rows(), k);
-            hogwild_epoch_tiled(&grid, p, q, config)
+            rule_epoch_tiled(&grid, p, q, rule, config)
         }
     }
 }
 
-/// Tile-scheduled epoch over a pre-built [`TileGrid`]; the fast path when the
-/// same shard is swept many times (training loops, benchmarks), since the
-/// per-epoch counting sort in [`hogwild_epoch`] is skipped.
+/// Tile-scheduled epoch of `rule` over a pre-built [`TileGrid`]; the fast
+/// path when the same shard is swept many times (training loops,
+/// benchmarks), since the per-epoch counting sort in [`rule_epoch`] is
+/// skipped. `config.schedule` is not consulted.
 ///
 /// Threads claim tiles from a shared atomic cursor, so tile load imbalance
 /// (Zipf-skewed shards concentrate mass in few tiles) self-levels the way
@@ -163,10 +238,11 @@ pub fn hogwild_epoch(
 ///
 /// # Panics
 /// Panics if `config.threads == 0` or if a tile entry indexes outside `p`/`q`.
-pub fn hogwild_epoch_tiled(
+pub fn rule_epoch_tiled<R: UpdateRule + ?Sized>(
     grid: &TileGrid,
     p: &SharedFactors,
     q: &SharedFactors,
+    rule: &R,
     config: &HogwildConfig,
 ) -> f64 {
     assert!(config.threads > 0, "thread count must be non-zero");
@@ -179,18 +255,20 @@ pub fn hogwild_epoch_tiled(
 
     let threads = config.threads.min(grid.num_tiles());
     let cursor = AtomicUsize::new(0);
-    if threads == 1 {
-        return sweep_tiles(grid, &cursor, p, q, config);
-    }
+    on_threads(threads, |_| sweep_tiles(grid, &cursor, p, q, rule, config))
+}
 
+/// Runs `sweep(t)` for every thread index `t < threads` (inline when
+/// `threads == 1`, else on scoped threads) and sums the returned losses.
+fn on_threads(threads: usize, sweep: impl Fn(usize) -> f64 + Sync) -> f64 {
+    if threads == 1 {
+        return sweep(0);
+    }
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let p = p.clone();
-            let q = q.clone();
-            let cursor = &cursor;
-            handles.push(scope.spawn(move || sweep_tiles(grid, cursor, &p, &q, config)));
-        }
+        let sweep = &sweep;
+        let handles: Vec<_> = (0..threads)
+            .map(|t| scope.spawn(move || sweep(t)))
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
@@ -198,41 +276,35 @@ pub fn hogwild_epoch_tiled(
     })
 }
 
-fn sweep_stripe(
+fn sweep_stripe<R: UpdateRule + ?Sized>(
     entries: &[Rating],
     offset: usize,
     stride: usize,
     p: &SharedFactors,
     q: &SharedFactors,
+    rule: &R,
     config: &HogwildConfig,
 ) -> f64 {
+    let mut scratch = vec![0f32; rule.scratch_len(p.k())];
     let mut sq_err = 0.0f64;
     let mut idx = offset;
     while idx < entries.len() {
-        let e = entries[idx];
-        let err = sgd_step_shared(
-            p,
-            q,
-            e.u as usize,
-            e.i as usize,
-            e.r,
-            config.learning_rate,
-            config.lambda_p,
-            config.lambda_q,
-        );
+        let err = rule.step(p, q, entries[idx], config, &mut scratch);
         sq_err += (err as f64) * (err as f64);
         idx += stride;
     }
     sq_err
 }
 
-fn sweep_tiles(
+fn sweep_tiles<R: UpdateRule + ?Sized>(
     grid: &TileGrid,
     cursor: &AtomicUsize,
     p: &SharedFactors,
     q: &SharedFactors,
+    rule: &R,
     config: &HogwildConfig,
 ) -> f64 {
+    let mut scratch = vec![0f32; rule.scratch_len(p.k())];
     let mut sq_err = 0.0f64;
     loop {
         // ordering: Relaxed — work-stealing tile cursor: the RMW's own
@@ -243,17 +315,8 @@ fn sweep_tiles(
         if t >= grid.num_tiles() {
             return sq_err;
         }
-        for e in grid.tile(t) {
-            let err = sgd_step_shared(
-                p,
-                q,
-                e.u as usize,
-                e.i as usize,
-                e.r,
-                config.learning_rate,
-                config.lambda_p,
-                config.lambda_q,
-            );
+        for &e in grid.tile(t) {
+            let err = rule.step(p, q, e, config, &mut scratch);
             sq_err += (err as f64) * (err as f64);
         }
     }
@@ -262,8 +325,10 @@ fn sweep_tiles(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adagrad::{AdaGrad, AdaGradState};
     use crate::factors::FactorMatrix;
     use crate::loss::rmse;
+    use crate::momentum::{Momentum, MomentumState};
     use hcc_sparse::{GenConfig, SyntheticDataset};
 
     fn setup(k: usize) -> (SyntheticDataset, SharedFactors, SharedFactors) {
@@ -337,20 +402,39 @@ mod tests {
         );
     }
 
+    type MakeRule = fn(usize) -> Box<dyn UpdateRule>;
+
+    /// Every rule, as a factory of fresh instances at dimension `k` (state
+    /// sized for [`setup`]'s 200 × 100 factors): two calls give two rules
+    /// that start out equal.
+    fn rules() -> [(&'static str, MakeRule); 3] {
+        [
+            ("sgd", |_| Box::new(Sgd)),
+            ("adagrad", |k| {
+                Box::new(AdaGrad::new(0.05, 1e-8, AdaGradState::new(200, 100, k)))
+            }),
+            ("momentum", |k| {
+                Box::new(Momentum::new(0.9, MomentumState::new(200, 100, k)))
+            }),
+        ]
+    }
+
     #[test]
     fn tiled_epoch_over_prebuilt_grid_matches_adhoc() {
-        // hogwild_epoch(Tiled) and hogwild_epoch_tiled over the same grid
-        // must do the same updates (single thread => deterministic order).
-        let (ds, p_a, q_a) = setup(8);
-        let (_, p_b, q_b) = setup(8);
-        let config = cfg(1, Schedule::Tiled);
-        let loss_a = hogwild_epoch(ds.matrix.entries(), &p_a, &q_a, &config);
-        let grid =
-            TileGrid::with_default_budget(ds.matrix.entries(), p_b.rows(), q_b.rows(), p_b.k());
-        let loss_b = hogwild_epoch_tiled(&grid, &p_b, &q_b, &config);
-        assert_eq!(loss_a, loss_b);
-        assert_eq!(p_a.snapshot(), p_b.snapshot());
-        assert_eq!(q_a.snapshot(), q_b.snapshot());
+        // rule_epoch(Tiled) and rule_epoch_tiled over the same grid must do
+        // the same updates (single thread => deterministic order).
+        for (name, make_rule) in rules() {
+            let (ds, p_a, q_a) = setup(8);
+            let (_, p_b, q_b) = setup(8);
+            let config = cfg(1, Schedule::Tiled);
+            let loss_a = rule_epoch(ds.matrix.entries(), &p_a, &q_a, &*make_rule(8), &config);
+            let grid =
+                TileGrid::with_default_budget(ds.matrix.entries(), p_b.rows(), q_b.rows(), p_b.k());
+            let loss_b = rule_epoch_tiled(&grid, &p_b, &q_b, &*make_rule(8), &config);
+            assert_eq!(loss_a, loss_b, "{name}");
+            assert_eq!(p_a.snapshot(), p_b.snapshot(), "{name}");
+            assert_eq!(q_a.snapshot(), q_b.snapshot(), "{name}");
+        }
     }
 
     #[test]
@@ -385,34 +469,43 @@ mod tests {
     fn returned_loss_is_sum_of_squared_errors_single_thread() {
         // Replay must hit the same backend as the epoch for exact equality.
         let _guard = crate::simd::test_lock();
-        let (ds, p, q) = setup(4);
-        let entries = &ds.matrix.entries()[..10];
-        // Compute expected running loss with an independent serial replay.
-        let p2 = SharedFactors::from_matrix(&p.snapshot());
-        let q2 = SharedFactors::from_matrix(&q.snapshot());
-        let cfg = HogwildConfig {
-            threads: 1,
-            learning_rate: 0.01,
-            lambda_p: 0.0,
-            lambda_q: 0.0,
-            schedule: Schedule::Stripe,
-        };
-        let got = hogwild_epoch(entries, &p, &q, &cfg);
-        let mut want = 0.0f64;
-        for e in entries {
-            let err = crate::kernel::sgd_step_shared(
-                &p2,
-                &q2,
-                e.u as usize,
-                e.i as usize,
-                e.r,
-                0.01,
-                0.0,
-                0.0,
-            );
-            want += (err as f64) * (err as f64);
+        for (name, make_rule) in rules() {
+            for schedule in [Schedule::Stripe, Schedule::Tiled] {
+                let (ds, p, q) = setup(4);
+                let entries = &ds.matrix.entries()[..10];
+                let p2 = SharedFactors::from_matrix(&p.snapshot());
+                let q2 = SharedFactors::from_matrix(&q.snapshot());
+                let cfg = HogwildConfig {
+                    threads: 1,
+                    learning_rate: 0.01,
+                    lambda_p: 0.0,
+                    lambda_q: 0.0,
+                    schedule,
+                };
+                let got = rule_epoch(entries, &p, &q, &*make_rule(4), &cfg);
+                // Expected running loss from an independent serial replay
+                // of the schedule's visiting order.
+                let order: Vec<Rating> = match schedule {
+                    Schedule::Stripe => entries.to_vec(),
+                    Schedule::Tiled => {
+                        let grid = TileGrid::with_default_budget(entries, p2.rows(), q2.rows(), 4);
+                        (0..grid.num_tiles())
+                            .flat_map(|t| grid.tile(t).to_vec())
+                            .collect()
+                    }
+                };
+                let replay = make_rule(4);
+                let mut scratch = vec![0f32; replay.scratch_len(4)];
+                let mut want = 0.0f64;
+                for e in order {
+                    let err = replay.step(&p2, &q2, e, &cfg, &mut scratch);
+                    want += (err as f64) * (err as f64);
+                }
+                assert!((got - want).abs() < 1e-9, "{name}/{schedule}");
+                assert_eq!(p.snapshot(), p2.snapshot(), "{name}/{schedule}");
+                assert_eq!(q.snapshot(), q2.snapshot(), "{name}/{schedule}");
+            }
         }
-        assert!((got - want).abs() < 1e-9);
     }
 
     #[test]

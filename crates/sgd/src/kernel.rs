@@ -27,31 +27,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     simd::dot(a, b)
 }
 
-/// Inner product with 8 independent lane accumulators.
-///
-/// The serial-dependence-free *portable* form of the paper's AVX512
-/// inner-product kernel, kept as a bench baseline: eight partial sums break
-/// the add-chain so the compiler can keep eight FMA lanes busy even without
-/// intrinsics. The hot path now uses [`dot`], which dispatches to the
-/// hand-written AVX2 kernel at runtime.
-#[inline]
-pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for c in 0..chunks {
-        let base = c * 8;
-        for j in 0..8 {
-            lanes[j] += a[base + j] * b[base + j];
-        }
-    }
-    let mut acc = lanes.iter().sum::<f32>();
-    for j in chunks * 8..a.len() {
-        acc += a[j] * b[j];
-    }
-    acc
-}
-
 /// One SGD update on plain factor rows. Returns the prediction error
 /// `e = r − p·q` *before* the update.
 #[inline]
@@ -138,20 +113,6 @@ mod tests {
     fn dot_matches_manual() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn dot_unrolled_matches_dot() {
-        for len in [0usize, 1, 7, 8, 9, 16, 31, 32, 128] {
-            let a: Vec<f32> = (0..len).map(|j| (j as f32 * 0.37).sin()).collect();
-            let b: Vec<f32> = (0..len).map(|j| (j as f32 * 0.53).cos()).collect();
-            let plain = dot(&a, &b) as f64;
-            let fast = dot_unrolled(&a, &b) as f64;
-            assert!(
-                (plain - fast).abs() <= 1e-5 * plain.abs().max(1.0),
-                "len {len}: {plain} vs {fast}"
-            );
-        }
     }
 
     #[test]

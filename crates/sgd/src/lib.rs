@@ -6,21 +6,21 @@
 //!   [`SharedFactors`] — the same data behind relaxed atomics so Hogwild-style
 //!   asynchronous SGD (Niu et al., the paper's convergence basis) can update
 //!   it from many threads without locks.
-//! * [`kernel`] — the single-rating SGD update rule with L2 regularization,
+//! * [`kernel`] — the single-rating SGD update with L2 regularization,
 //!   exactly the loss in Fig. 1 of the paper.
-//! * [`hogwild`] — multi-threaded asynchronous SGD over an entry shard; this
-//!   is the compute engine inside every CPU worker.
+//! * [`hogwild`] — the one multi-threaded asynchronous sweep over an entry
+//!   shard (striped or cache-tiled), generic over an [`UpdateRule`]; this is
+//!   the compute engine inside every CPU worker.
 //! * [`loss`] — RMSE evaluation (serial and parallel).
 //! * [`schedule`] — learning-rate schedules (the paper uses a constant γ).
 //! * [`fp16`] — IEEE-754 binary16 conversion implemented from scratch, used
 //!   by the "Transmitting FP16 Data" communication strategy.
 //! * [`int8`] — symmetric per-shard int8 quantization for the serving tier
 //!   (`hcc-serve` stores item factors at reduced precision).
-//! * [`biased`] — the biased-MF extension `μ + b_u + c_i + p·q`, the
-//!   standard production refinement of the paper's plain model.
-//! * [`adagrad`] — AdaGrad-scaled Hogwild (CuMF_SGD ships the same
+//! * [`adagrad`] — the AdaGrad update rule (CuMF_SGD ships the same
 //!   alternative kernel).
-//! * [`momentum`] — heavy-ball Hogwild, completing the optimizer family.
+//! * [`momentum`] — the heavy-ball update rule, completing the optimizer
+//!   family.
 //! * [`simd`] — runtime-dispatched SIMD kernels (AVX2+FMA fused SGD step,
 //!   F16C half-precision codec) with portable scalar fallbacks.
 
@@ -46,7 +46,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod adagrad;
-pub mod biased;
 pub mod factors;
 pub mod fp16;
 pub mod hogwild;
@@ -57,11 +56,13 @@ pub mod momentum;
 pub mod schedule;
 pub mod simd;
 
-pub use adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
-pub use biased::{biased_hogwild_epoch, train_biased, BiasedConfig, BiasedModel, SharedBias};
+pub use adagrad::{AdaGrad, AdaGradState};
 pub use factors::{FactorMatrix, SharedFactors};
-pub use hogwild::{hogwild_epoch, hogwild_epoch_tiled, HogwildConfig, Schedule};
-pub use kernel::{dot, dot_unrolled, sgd_step};
+pub use hogwild::{
+    hogwild_epoch, hogwild_epoch_tiled, rule_epoch, rule_epoch_tiled, HogwildConfig, Schedule, Sgd,
+    UpdateRule,
+};
+pub use kernel::{dot, sgd_step};
 pub use loss::{rmse, rmse_parallel};
-pub use momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
+pub use momentum::{Momentum, MomentumState};
 pub use schedule::LearningRate;

@@ -12,7 +12,8 @@
 /// i.e. the term of Eq. 1/2 a span contributes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// `t_pull`: reading the published feature matrix.
+    /// `t_pull`: reading the published feature matrix (in the lock-step
+    /// epoch timed from the publish, so a wait for a CPU counts here).
     Pull,
     /// `t_comp`: the Hogwild SGD sweep.
     Comp,

@@ -5,7 +5,7 @@
 //! cargo run --release --example dataset_analysis
 //! ```
 
-use hcc_sgd::{train_biased, BiasedConfig};
+use hcc_mf::{HccConfig, HccMf, LearningRate, WorkerSpec};
 use hcc_sparse::stats::row_count_quantiles;
 use hcc_sparse::{DatasetProfile, MatrixStats, SyntheticDataset};
 
@@ -44,33 +44,24 @@ fn main() {
     let (p50, p90, p99, max) = row_count_quantiles(&ds.matrix);
     println!("\nNetflix-shaped row-count quantiles: p50={p50} p90={p90} p99={p99} max={max}");
 
-    // Biased vs plain MF on the same data and budget.
-    let entries = ds.matrix.entries();
-    let (m, n) = (ds.matrix.rows() as usize, ds.matrix.cols() as usize);
-    let cfg = BiasedConfig {
-        threads: 2,
-        learning_rate: 0.02,
-        lambda_factor: 0.01,
-        lambda_bias: 0.01,
-    };
-    let model = train_biased(entries, m, n, 16, 20, &cfg, 5);
-    let biased_rmse = model.rmse(entries);
-
-    let p = hcc_sgd::SharedFactors::from_matrix(&hcc_sgd::FactorMatrix::random(m, 16, 5));
-    let q = hcc_sgd::SharedFactors::from_matrix(&hcc_sgd::FactorMatrix::random(n, 16, 6));
-    let hw = hcc_sgd::HogwildConfig {
-        threads: 2,
-        learning_rate: 0.02,
-        lambda_p: 0.01,
-        lambda_q: 0.01,
-        schedule: Default::default(),
-    };
-    for _ in 0..20 {
-        hcc_sgd::hogwild_epoch(entries, &p, &q, &hw);
-    }
-    let plain_rmse = hcc_sgd::rmse(entries, &p.snapshot(), &q.snapshot());
+    // Biased vs plain MF on the same data and budget: the framework's
+    // baseline-predictor + residual path against plain training.
+    let config = HccConfig::builder()
+        .k(16)
+        .epochs(20)
+        .learning_rate(LearningRate::Constant(0.02))
+        .lambda(0.01)
+        .workers(vec![WorkerSpec::cpu(2)])
+        .seed(5)
+        .build();
+    let trainer = HccMf::new(config);
+    let (_, _, biased) = trainer
+        .train_biased(&ds.matrix, 5.0)
+        .expect("biased training failed");
+    let biased_rmse = biased.rmse(ds.matrix.entries());
+    let plain = trainer.train(&ds.matrix).expect("training failed");
+    let plain_rmse = hcc_sgd::rmse(ds.matrix.entries(), &plain.p, &plain.q);
     println!(
-        "\n20-epoch k=16 training RMSE: biased MF {biased_rmse:.4} vs plain MF {plain_rmse:.4} \
-         (biases absorb user/item offsets)"
+        "\n20-epoch k=16 training RMSE: train_biased {biased_rmse:.4} vs train {plain_rmse:.4}"
     );
 }

@@ -6,6 +6,7 @@ use hcc_baselines::{CumfSgdSim, Fpsgd, SerialSgd, TrainConfig};
 use hcc_mf::{
     HccConfig, HccMf, LearningRate, PartitionMode, TransferStrategy, TransportKind, WorkerSpec,
 };
+use hcc_sgd::Schedule;
 use hcc_sparse::{train_test_split, GenConfig, SyntheticDataset};
 
 fn dataset() -> SyntheticDataset {
@@ -432,17 +433,20 @@ fn warm_start_dimension_mismatch_rejected() {
 #[test]
 fn adagrad_optimizer_converges_in_framework() {
     let ds = dataset();
-    let report = HccMf::new(
-        hcc_base()
-            .optimizer(hcc_mf::Optimizer::AdaGrad {
-                eta0: 0.08,
-                epsilon: 1e-8,
-            })
-            .build(),
-    )
-    .train(&ds.matrix)
-    .unwrap();
-    assert_converged(&report.rmse_history, "adagrad");
+    for schedule in [Schedule::Stripe, Schedule::Tiled] {
+        let report = HccMf::new(
+            hcc_base()
+                .optimizer(hcc_mf::Optimizer::AdaGrad {
+                    eta0: 0.08,
+                    epsilon: 1e-8,
+                })
+                .schedule(schedule)
+                .build(),
+        )
+        .train(&ds.matrix)
+        .unwrap();
+        assert_converged(&report.rmse_history, &format!("adagrad-{schedule}"));
+    }
     // AdaGrad should also survive the async pipeline.
     let report = HccMf::new(
         hcc_base()
@@ -461,13 +465,16 @@ fn adagrad_optimizer_converges_in_framework() {
 #[test]
 fn momentum_optimizer_converges_in_framework() {
     let ds = dataset();
-    let report = HccMf::new(
-        hcc_base()
-            .optimizer(hcc_mf::Optimizer::Momentum { beta: 0.9 })
-            .learning_rate(LearningRate::Constant(0.004))
-            .build(),
-    )
-    .train(&ds.matrix)
-    .unwrap();
-    assert_converged(&report.rmse_history, "momentum");
+    for schedule in [Schedule::Stripe, Schedule::Tiled] {
+        let report = HccMf::new(
+            hcc_base()
+                .optimizer(hcc_mf::Optimizer::Momentum { beta: 0.9 })
+                .learning_rate(LearningRate::Constant(0.004))
+                .schedule(schedule)
+                .build(),
+        )
+        .train(&ds.matrix)
+        .unwrap();
+        assert_converged(&report.rmse_history, &format!("momentum-{schedule}"));
+    }
 }
